@@ -25,12 +25,14 @@ from . import __version__
 from .errors import (
     CrossCycleLengthError,
     CycleAlgebraError,
+    InvalidTowerError,
     SpecValidationError,
 )
 from .limits import (
     ExplicitTower,
     LimitScaleQuery,
     StationaryMatroidTower,
+    check_capacity,
     decide_isomorphism,
     enumerate_S,
     finite_level_invariants,
@@ -74,22 +76,27 @@ def _expect(condition, message, field):
         raise SpecValidationError(message, field=field)
 
 
+def _is_int(x) -> bool:
+    """JSON integers only: ``true`` and ``false`` decode to bool, a subclass of int."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def parse_tower_spec(data) -> tuple:
     """Validate a decoded tower spec; returns ("stationary"|"explicit", tower)."""
     _expect(isinstance(data, dict), "spec must be a JSON object", "$")
     _expect(data.get("schema_version") == SCHEMA_VERSION,
             f"schema_version must be {SCHEMA_VERSION}", "$.schema_version")
     m = data.get("m")
-    _expect(isinstance(m, int) and m >= 3, "m must be an integer >= 3", "$.m")
+    _expect(_is_int(m) and m >= 3, "m must be an integer >= 3", "$.m")
     mode = data.get("mode")
     _expect(mode in ("stationary_matroid", "explicit"),
             "mode must be 'stationary_matroid' or 'explicit'", "$.mode")
 
     if mode == "stationary_matroid":
         d = data.get("d")
-        _expect(isinstance(d, int) and d >= 1, "d must be a positive integer", "$.d")
+        _expect(_is_int(d) and d >= 1, "d must be a positive integer", "$.d")
         s = data.get("s")
-        _expect(isinstance(s, int), "s must be an integer", "$.s")
+        _expect(_is_int(s), "s must be an integer", "$.s")
         _expect(s in enumerate_S(m, d),
                 f"s must lie in {enumerate_S(m, d)}", "$.s")
         return "stationary", StationaryMatroidTower(m, d, s)
@@ -102,7 +109,7 @@ def parse_tower_spec(data) -> tuple:
         field = f"$.shapes[{i}]"
         _expect(isinstance(row, list) and len(row) == 2 * m,
                 f"each shape needs {2 * m} vertex multiplicities", field)
-        _expect(all(isinstance(x, int) and x >= 1 for x in row),
+        _expect(all(_is_int(x) and x >= 1 for x in row),
                 "vertex multiplicities must be positive integers", field)
         shapes.append(CycleAlgebraShape(m, tuple(row)))
     embeddings_raw = data.get("embeddings")
@@ -114,13 +121,13 @@ def parse_tower_spec(data) -> tuple:
         field = f"$.embeddings[{i}]"
         _expect(isinstance(row, list) and len(row) == 2 * m,
                 f"each signature needs {2 * m} entries", field)
-        _expect(all(isinstance(x, int) and x >= 0 for x in row),
+        _expect(all(_is_int(x) and x >= 0 for x in row),
                 "signature entries must be nonnegative integers", field)
         _expect(any(row), "linking signatures must be nonzero", field)
         embeddings.append(Signature(m, tuple(row)))
     try:
         tower = ExplicitTower(tuple(shapes), tuple(embeddings))
-        finite_level_invariants(tower)
+        check_capacity(tower)
     except CycleAlgebraError as exc:
         raise SpecValidationError(str(exc), field="$.embeddings") from exc
     return "explicit", tower
@@ -250,7 +257,10 @@ def cmd_invariants(args) -> int:
         input_data = {"spec": args.spec, "mode": mode,
                       "tower": {"m": tower.m, "d": tower.d, "s": tower.s}}
     else:
-        levels = finite_level_invariants(tower)
+        try:
+            levels = finite_level_invariants(tower)
+        except InvalidTowerError as exc:
+            raise SpecValidationError(str(exc), field="$.embeddings") from exc
         result = {"mode": "explicit", "levels": levels,
                   "note": "finite prefix: no limit verdict is attached"}
         input_data = {"spec": args.spec, "mode": mode,

@@ -26,24 +26,32 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cycle_core import check_half_length
+from .cycle_core import check_half_length, enumerate_automorphisms, parity_position
 from .errors import (
     CrossCycleLengthError,
     InvalidIndexError,
     InvalidTowerError,
 )
 from .signatures import (
-    DEFAULT_ENUMERATION_BOUND,
     CycleAlgebraShape,
     Signature,
     h1,
     homology_range,
-    joint_scale_finite,
     k0_matrix,
     signature_compose,
 )
 
 INF = math.inf
+
+#: Largest level size whose unital scale is reported; it bounds the emitted
+#: ``h_values`` list, which has n + 1 entries at a uniform level of size n.
+UNITAL_SCALE_BOUND = 64
+
+#: Composite totals at or above this overflow the int64 row sums of ``k0_matrix``.
+MAX_COMPOSITE_TOTAL = 2 ** 63
+
+#: Largest number of entries a reported composite homology range may have.
+MAX_HOMOLOGY_RANGE = 2 ** 16
 
 
 def prime_factors(n) -> dict:
@@ -106,13 +114,13 @@ class SupernaturalNumber:
 
 @dataclass(frozen=True)
 class LocalizedGroup:
-    """The limit homology group: 0, Z, or the integers localized at a prime set."""
+    """The limit homology group: 0, or the integers localized at a prime set."""
 
     kind: str
     primes: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in ("trivial", "integers", "localization"):
+        if self.kind not in ("trivial", "localization"):
             raise InvalidIndexError(f"unknown group kind {self.kind!r}")
         primes = tuple(sorted(int(p) for p in self.primes))
         if self.kind == "localization" and not primes:
@@ -126,18 +134,12 @@ class LocalizedGroup:
         return cls("trivial")
 
     @classmethod
-    def integers(cls):
-        return cls("integers")
-
-    @classmethod
     def localization(cls, primes):
         return cls("localization", tuple(primes))
 
     def describe(self) -> str:
         if self.kind == "trivial":
             return "0"
-        if self.kind == "integers":
-            return "Z"
         return "Z[1/(" + "*".join(str(p) for p in self.primes) + ")]"
 
 
@@ -196,12 +198,12 @@ def k0_limit(tower: StationaryMatroidTower):
 
 
 def h1_limit(tower: StationaryMatroidTower) -> LocalizedGroup:
-    """Limit homology group: trivial for s = 0, else Z localized at the primes of |s|."""
+    """Limit homology group: trivial for s = 0, else Z localized at the primes of |s|.
+
+    For a valid tower |s| is 0 or at least m >= 3, so the prime set is never empty.
+    """
     if tower.s == 0:
         return LocalizedGroup.trivial()
-    if abs(tower.s) == 1:
-        # Unreachable for valid towers (|s| is 0 or >= m), kept for completeness.
-        return LocalizedGroup.integers()
     return LocalizedGroup.localization(sorted(prime_factors(abs(tower.s))))
 
 
@@ -431,33 +433,84 @@ def stationary_prefix(tower: StationaryMatroidTower, levels) -> ExplicitTower:
     return ExplicitTower(shapes, (tower.constant_signature(),) * (levels - 1))
 
 
-def finite_level_invariants(tower: ExplicitTower,
-                            max_scale_total=DEFAULT_ENUMERATION_BOUND) -> list:
-    """Per-level invariants of an explicit tower prefix.
+def check_capacity(tower: ExplicitTower) -> None:
+    """Check K0(sig) . mults_src <= mults_tgt at every step, in exact integers.
 
-    Validates the capacity condition K0(sig) . mults_src <= mults_tgt at every
-    step (named level on failure), then reports per level the composed
-    signature from level 1, its matrix and homology data, and the unital
-    joint scale of the level algebra (skipped above the enumeration bound).
-    No limit verdict is attached: the input is a finite prefix.
+    Raises ``InvalidTowerError`` naming the first level that cannot hold the
+    standard embedding of its linking signature.
     """
+    autos = enumerate_automorphisms(tower.m)
     for i, sig in enumerate(tower.embeddings):
-        mat = k0_matrix(sig)
-        src = tower.shapes[i].mults_parity_order()
+        src = tower.shapes[i].vertex_mults
+        needed = [0] * (2 * tower.m)
+        for r, theta in zip(sig.r, autos):
+            if r:
+                for v, mult in enumerate(src, start=1):
+                    needed[parity_position(tower.m, theta.act(v))] += r * mult
         tgt = tower.shapes[i + 1].mults_parity_order()
-        needed = mat @ src
-        if any(int(n) > t for n, t in zip(needed, tgt)):
+        if any(n > t for n, t in zip(needed, tgt)):
             raise InvalidTowerError(
                 f"embedding into level {i + 2} needs vertex multiplicities "
-                f"{[int(n) for n in needed]} but the level has {list(tgt)}",
+                f"{needed} but the level has {list(tgt)}",
                 level=i + 2)
 
+
+def _bounded_composites(tower: ExplicitTower) -> list:
+    """Composite signature from level 1 to every level (None at level 1).
+
+    Refuses a composite whose report would not fit: a total that overflows
+    the int64 matrix, or a homology range longer than ``MAX_HOMOLOGY_RANGE``.
+    """
+    composites = [None]
+    for level, step in enumerate(tower.embeddings, start=2):
+        prev = composites[-1]
+        composite = step if prev is None else signature_compose(prev, step)
+        if composite.total >= MAX_COMPOSITE_TOTAL:
+            raise InvalidTowerError(
+                f"composite signature into level {level} has total {composite.total}, "
+                "beyond the int64 bound 2^63 of its vertex-multiplicity matrix",
+                level=level)
+        range_len = min(composite.r[0::2]) + min(composite.r[1::2]) + 1
+        if range_len > MAX_HOMOLOGY_RANGE:
+            raise InvalidTowerError(
+                f"composite signature into level {level} has a homology range of "
+                f"{range_len} values, more than the bound 2^16",
+                level=level)
+        composites.append(composite)
+    return composites
+
+
+def _unital_scale(shape: CycleAlgebraShape) -> dict:
+    """The unital joint scale of a level algebra, in closed form.
+
+    A unital embedding into a uniform level of size n has a signature of
+    total n, and the map from signatures to scale elements (k0 part, h) is
+    injective, so the scale has C(n + 2m - 1, 2m - 1) elements with h over
+    {-n, -n + 2, .., n}.  A non-uniform level admits no unital embedding.
+    """
+    n = min(shape.vertex_mults)
+    if n > UNITAL_SCALE_BOUND:
+        return {"skipped": "enumeration bound"}
+    if len(set(shape.vertex_mults)) != 1:
+        return {"element_count": 0, "h_values": []}
+    return {"element_count": math.comb(n + 2 * shape.m - 1, 2 * shape.m - 1),
+            "h_values": list(range(-n, n + 1, 2))}
+
+
+def finite_level_invariants(tower: ExplicitTower) -> list:
+    """Per-level invariants of an explicit tower prefix.
+
+    Checks capacity (``check_capacity``) and the composite bounds first, so a
+    refused tower materializes nothing, then reports per level the composed
+    signature from level 1, its matrix and homology data, and the unital
+    joint scale of the level algebra (skipped for levels larger than
+    ``UNITAL_SCALE_BOUND``).  No limit verdict is attached: the input is a
+    finite prefix.
+    """
+    check_capacity(tower)
+    composites = _bounded_composites(tower)
     reports = []
-    composite = None
-    for level, shape in enumerate(tower.shapes, start=1):
-        if level >= 2:
-            step = tower.embeddings[level - 2]
-            composite = step if composite is None else signature_compose(composite, step)
+    for level, (shape, composite) in enumerate(zip(tower.shapes, composites), start=1):
         entry = {
             "level": level,
             "vertex_mults": list(shape.vertex_mults),
@@ -469,13 +522,6 @@ def finite_level_invariants(tower: ExplicitTower,
             entry["k0_matrix"] = k0_matrix(composite).tolist()
             entry["h1"] = h1(composite)
             entry["homology_range"] = list(homology_range(composite))
-        if min(shape.vertex_mults) <= max_scale_total:
-            scale = joint_scale_finite(shape, unital_only=True, max_total=max_scale_total)
-            entry["unital_scale"] = {
-                "element_count": len(scale),
-                "h_values": sorted({e.h_part for e in scale}),
-            }
-        else:
-            entry["unital_scale"] = {"skipped": "enumeration bound"}
+        entry["unital_scale"] = _unital_scale(shape)
         reports.append(entry)
     return reports

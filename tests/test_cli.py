@@ -1,4 +1,6 @@
 import json
+import os
+import resource
 import subprocess
 import sys
 
@@ -6,6 +8,7 @@ import pytest
 
 from cyclealg.cli import main, parse_tower_spec
 from cyclealg.errors import SpecValidationError
+from cyclealg.limits import StationaryMatroidTower, stationary_prefix
 
 STATIONARY = {"schema_version": 1, "m": 3, "mode": "stationary_matroid", "d": 4, "s": 6}
 EXPLICIT = {
@@ -56,11 +59,46 @@ def test_parse_errors_carry_field_paths(patch, field):
     assert err.value.field == field
 
 
+@pytest.mark.parametrize("base,patch,field", [
+    (STATIONARY, {"m": True}, "$.m"),
+    (STATIONARY, {"d": True}, "$.d"),
+    (STATIONARY, {"s": False}, "$.s"),
+    (EXPLICIT, {"shapes": [[True] * 6, [2] * 6]}, "$.shapes[0]"),
+    (EXPLICIT, {"embeddings": [[True, True, 0, 0, 0, 0]]}, "$.embeddings[0]"),
+    (EXPLICIT, {"embeddings": [[1, 1, False, 0, 0, 0]]}, "$.embeddings[0]"),
+])
+def test_parse_rejects_bools(base, patch, field):
+    # bool is a subclass of int: true and false would pass as 1 and 0 (d = 4 admits s = 0)
+    with pytest.raises(SpecValidationError) as err:
+        parse_tower_spec(dict(base, **patch))
+    assert err.value.field == field
+
+
 def test_parse_explicit_capacity_error():
     data = json.loads(json.dumps(EXPLICIT))
     data["shapes"][1] = [1, 1, 1, 1, 1, 1]
     with pytest.raises(SpecValidationError):
         parse_tower_spec(data)
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("levels", [8, 16])
+def test_unbounded_report_refused_in_bounded_memory(tmp_path, levels):
+    prefix = stationary_prefix(StationaryMatroidTower(3, 10, 30), levels)
+    spec = write_spec(tmp_path, "t.json", {
+        "schema_version": 1, "m": 3, "mode": "explicit",
+        "shapes": [list(s.vertex_mults) for s in prefix.shapes],
+        "embeddings": [list(e.r) for e in prefix.embeddings]})
+    proc = subprocess.run([sys.executable, "-m", "cyclealg", "invariants", spec, "--json"],
+                          capture_output=True, text=True, timeout=5,
+                          preexec_fn=_limit_address_space,
+                          env=dict(os.environ, OPENBLAS_NUM_THREADS="1"))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error ($.embeddings): ")
+    assert "level 5" in proc.stderr and proc.stdout == ""
 
 
 # -- commands and exit codes ----------------------------------------------------

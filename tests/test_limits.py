@@ -21,6 +21,7 @@ from cyclealg.limits import (
     LocalizedGroup,
     StationaryMatroidTower,
     SupernaturalNumber,
+    check_capacity,
     decide_isomorphism,
     enumerate_S,
     finite_level_invariants,
@@ -32,7 +33,13 @@ from cyclealg.limits import (
     stationary_prefix,
     unital_joint_scale_contains,
 )
-from cyclealg.signatures import CycleAlgebraShape, Signature, h1, k0_matrix
+from cyclealg.signatures import (
+    CycleAlgebraShape,
+    Signature,
+    h1,
+    joint_scale_finite,
+    k0_matrix,
+)
 
 INF = math.inf
 
@@ -320,3 +327,54 @@ def test_unital_scale_reported_per_level():
     assert levels[1]["unital_scale"]["h_values"] == [-3, -1, 1, 3]
     big = ExplicitTower((CycleAlgebraShape.uniform(3, 100),), ())
     assert finite_level_invariants(big)[0]["unital_scale"] == {"skipped": "enumeration bound"}
+
+
+@pytest.mark.parametrize("m,top", [(3, 24), (4, 10), (5, 6), (6, 4)])
+def test_unital_scale_closed_form_matches_enumeration(m, top):
+    def reported(shape):
+        return finite_level_invariants(ExplicitTower((shape,), ()))[0]["unital_scale"]
+
+    def enumerated(shape):
+        scale = joint_scale_finite(shape, unital_only=True)
+        return {"element_count": len(scale), "h_values": sorted({e.h_part for e in scale})}
+
+    for n in range(1, top + 1):
+        shape = CycleAlgebraShape.uniform(m, n)
+        assert reported(shape) == enumerated(shape), (m, n)
+    non_uniform = ((2,) + (1,) * (2 * m - 1), tuple(range(1, 2 * m + 1)),
+                   (64,) + (65,) * (2 * m - 1))
+    for mults in non_uniform:
+        shape = CycleAlgebraShape(m, mults)
+        assert reported(shape) == enumerated(shape) == {"element_count": 0, "h_values": []}
+    for n in (65, 100):
+        assert reported(CycleAlgebraShape.uniform(m, n)) == {"skipped": "enumeration bound"}
+
+
+def test_check_capacity_exact_beyond_int64():
+    # level 16 holds 30^15 > 2^63 per vertex and needs exactly that many
+    prefix = stationary_prefix(tower(3, 10, 30), 16)
+    assert check_capacity(prefix) is None
+    shapes = list(prefix.shapes)
+    mults = shapes[-1].vertex_mults
+    shapes[-1] = CycleAlgebraShape(3, (mults[0] - 1,) + mults[1:])
+    with pytest.raises(InvalidTowerError) as err:
+        check_capacity(ExplicitTower(tuple(shapes), prefix.embeddings))
+    assert err.value.level == 16
+
+
+@pytest.mark.parametrize("levels", [8, 16])
+def test_long_homology_range_refused_before_report(levels):
+    # the composite into level 5 has 30^4 / 3 rotations per class: 270001 range values
+    with pytest.raises(InvalidTowerError, match="homology range of 270001 values") as err:
+        finite_level_invariants(stationary_prefix(tower(3, 10, 30), levels))
+    assert err.value.level == 5
+
+
+def test_composite_total_beyond_int64_refused():
+    # one rotation class only, so the homology range stays a single value
+    shapes = tuple(CycleAlgebraShape.uniform(3, 30 ** k) for k in range(14))
+    step = Signature(3, (30, 0, 0, 0, 0, 0))
+    with pytest.raises(InvalidTowerError, match="total") as err:
+        finite_level_invariants(ExplicitTower(shapes, (step,) * 13))
+    assert err.value.level == 14
+    assert len(finite_level_invariants(ExplicitTower(shapes[:13], (step,) * 12))) == 13
