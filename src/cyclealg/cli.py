@@ -25,6 +25,7 @@ from . import __version__
 from .errors import (
     CrossCycleLengthError,
     CycleAlgebraError,
+    EnumerationBoundError,
     InvalidTowerError,
     SpecValidationError,
 )
@@ -297,8 +298,11 @@ def cmd_signature(args) -> int:
         exit_code = EXIT_OK
     elif args.operation == "homrange":
         sig = _parse_signature(args.args[0])
-        result = {"signature": list(sig.r), "h1": h1(sig),
-                  "homology_range": list(homology_range(sig))}
+        try:
+            values = list(homology_range(sig))
+        except EnumerationBoundError as exc:
+            raise SpecValidationError(str(exc), field="signature") from exc
+        result = {"signature": list(sig.r), "h1": h1(sig), "homology_range": values}
         exit_code = EXIT_OK
     else:  # fromk0h1
         if args.m is None or args.k0 is None or args.h is None:
@@ -307,8 +311,10 @@ def cmd_signature(args) -> int:
         try:
             sig = signature_from_k0h1(matrix, args.h)
             result = {"realizable": True, "signature": list(sig.r),
-                      "k0_matrix": k0_matrix(sig).tolist(), "h1": h1(sig)}
+                      "k0_matrix": k0_matrix(sig), "h1": h1(sig)}
             exit_code = EXIT_OK
+        except EnumerationBoundError as exc:
+            raise SpecValidationError(str(exc), field="k0") from exc
         except CycleAlgebraError as exc:
             result = {"realizable": False, "reason": str(exc),
                       "kind": type(exc).__name__}

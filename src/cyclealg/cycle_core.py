@@ -94,10 +94,6 @@ def enumerate_automorphisms(m):
     return [DihedralElement.from_index(m, i) for i in range(1, 2 * m + 1)]
 
 
-def vertex_action(element: DihedralElement, v: int) -> int:
-    return element.act(v)
-
-
 def dihedral_compose(a: DihedralElement, b: DihedralElement) -> DihedralElement:
     """The automorphism "b first, then a".
 
@@ -131,11 +127,6 @@ def element_from_images(m, images) -> DihedralElement:
     if found is None:
         raise InvalidIndexError(f"no automorphism of D_{2 * m} has images {images}")
     return found
-
-
-def is_range_vertex(v) -> bool:
-    """Odd vertices are range vertices of the staircase form."""
-    return v % 2 == 1
 
 
 def parity_order(m):

@@ -26,13 +26,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cycle_core import check_half_length, enumerate_automorphisms, parity_position
+from .cycle_core import check_half_length
 from .errors import (
     CrossCycleLengthError,
     InvalidIndexError,
     InvalidTowerError,
 )
 from .signatures import (
+    MAX_HOMOLOGY_RANGE,
     CycleAlgebraShape,
     Signature,
     h1,
@@ -46,12 +47,6 @@ INF = math.inf
 #: Largest level size whose unital scale is reported; it bounds the emitted
 #: ``h_values`` list, which has n + 1 entries at a uniform level of size n.
 UNITAL_SCALE_BOUND = 64
-
-#: Composite totals at or above this overflow the int64 row sums of ``k0_matrix``.
-MAX_COMPOSITE_TOTAL = 2 ** 63
-
-#: Largest number of entries a reported composite homology range may have.
-MAX_HOMOLOGY_RANGE = 2 ** 16
 
 
 def prime_factors(n) -> dict:
@@ -439,14 +434,9 @@ def check_capacity(tower: ExplicitTower) -> None:
     Raises ``InvalidTowerError`` naming the first level that cannot hold the
     standard embedding of its linking signature.
     """
-    autos = enumerate_automorphisms(tower.m)
     for i, sig in enumerate(tower.embeddings):
-        src = tower.shapes[i].vertex_mults
-        needed = [0] * (2 * tower.m)
-        for r, theta in zip(sig.r, autos):
-            if r:
-                for v, mult in enumerate(src, start=1):
-                    needed[parity_position(tower.m, theta.act(v))] += r * mult
+        src = tower.shapes[i].mults_parity_order()
+        needed = [sum(a * b for a, b in zip(row, src)) for row in k0_matrix(sig)]
         tgt = tower.shapes[i + 1].mults_parity_order()
         if any(n > t for n, t in zip(needed, tgt)):
             raise InvalidTowerError(
@@ -458,18 +448,14 @@ def check_capacity(tower: ExplicitTower) -> None:
 def _bounded_composites(tower: ExplicitTower) -> list:
     """Composite signature from level 1 to every level (None at level 1).
 
-    Refuses a composite whose report would not fit: a total that overflows
-    the int64 matrix, or a homology range longer than ``MAX_HOMOLOGY_RANGE``.
+    Refuses a composite whose homology range is longer than
+    ``MAX_HOMOLOGY_RANGE``.  Totals need no bound: after ``check_capacity``
+    every composite total is at most the smallest multiplicity of its level.
     """
     composites = [None]
     for level, step in enumerate(tower.embeddings, start=2):
         prev = composites[-1]
         composite = step if prev is None else signature_compose(prev, step)
-        if composite.total >= MAX_COMPOSITE_TOTAL:
-            raise InvalidTowerError(
-                f"composite signature into level {level} has total {composite.total}, "
-                "beyond the int64 bound 2^63 of its vertex-multiplicity matrix",
-                level=level)
         range_len = min(composite.r[0::2]) + min(composite.r[1::2]) + 1
         if range_len > MAX_HOMOLOGY_RANGE:
             raise InvalidTowerError(
@@ -519,7 +505,7 @@ def finite_level_invariants(tower: ExplicitTower) -> list:
             entry["composite_signature"] = None
         else:
             entry["composite_signature"] = list(composite.r)
-            entry["k0_matrix"] = k0_matrix(composite).tolist()
+            entry["k0_matrix"] = k0_matrix(composite)
             entry["h1"] = h1(composite)
             entry["homology_range"] = list(homology_range(composite))
         entry["unital_scale"] = _unital_scale(shape)

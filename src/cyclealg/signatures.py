@@ -10,13 +10,16 @@ complete conjugacy invariant.  Two derived invariants are computed here:
 * the homology multiplier r_1 - r_2 + r_3 - .. - r_{2m} (rotations minus
   reflections), i.e. the image of the signature under the sign character.
 
-Everything in this module is exact integer arithmetic.
+Everything in this module is exact Python-integer arithmetic.  numpy appears
+only in the enumeration oracle (``permutation_matrix``, ``joint_scale_finite``
+and their helpers), which the tests check the closed forms against.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +42,9 @@ from .errors import (
 
 #: Default ceiling on exact joint-scale enumerations (total multiplicity).
 DEFAULT_ENUMERATION_BOUND = 64
+
+#: Largest homology range, and so largest fibre, that is listed.
+MAX_HOMOLOGY_RANGE = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -106,9 +112,25 @@ def _composition_index_table(m):
     return tuple(tuple(dihedral_compose(a, b).index - 1 for b in autos) for a in autos)
 
 
-def k0_matrix(sig: Signature) -> np.ndarray:
-    """The matrix sum_j r_j P(theta_j); block diagonal across the parity split."""
-    return np.tensordot(np.asarray(sig.r, dtype=np.int64), _perm_stack(sig.m), axes=1)
+@functools.lru_cache(maxsize=None)
+def _k0_cells(m):
+    """Per class, the (row, col) cells of its permutation matrix in parity order."""
+    return tuple(tuple((parity_position(m, theta.act(v)), parity_position(m, v))
+                       for v in range(1, 2 * m + 1))
+                 for theta in enumerate_automorphisms(m))
+
+
+def k0_matrix(sig: Signature) -> list:
+    """The matrix sum_j r_j P(theta_j) as 2m rows of Python ints.
+
+    It is block diagonal across the parity split.
+    """
+    rows = [[0] * (2 * sig.m) for _ in range(2 * sig.m)]
+    for r, cells in zip(sig.r, _k0_cells(sig.m)):
+        if r:
+            for row, col in cells:
+                rows[row][col] += r
+    return rows
 
 
 def h1(sig: Signature) -> int:
@@ -131,91 +153,85 @@ def signature_compose(inner: Signature, outer: Signature) -> Signature:
     return Signature(inner.m, tuple(out))
 
 
-def conjugate_eq(s1: Signature, s2: Signature) -> bool:
-    """Inner conjugacy of rigid embeddings is exactly equality of signatures."""
-    _require_same_m(s1, s2)
-    return s1.r == s2.r
+def _shift_family(mat) -> tuple:
+    """(lowest member, size) of the fibre of a vertex-multiplicity matrix, or (None, 0).
 
-
-def _check_k0_shape(mat: np.ndarray):
-    mat = np.asarray(mat)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] % 2 or mat.shape[0] < 6:
-        raise InvalidIndexError(f"expected a 2m x 2m matrix with m >= 3, got shape {mat.shape}")
-    if np.any(mat < 0) or not np.issubdtype(mat.dtype, np.integer):
-        if not np.issubdtype(mat.dtype, np.integer):
-            raise InvalidIndexError("vertex-multiplicity matrix must be integer")
+    The fibre is the shift family (r_1 + k, r_2 - k, r_3 + k, ..).  Write
+    rot_k, refl_k for the classes theta_{2k+1}, theta_{2k+2}.  The column of
+    vertex 1 holds rot_k + refl_{-k} at vertex 1 - 2k and the column of
+    vertex 2 holds rot_k + refl_{1-k} at vertex 2 - 2k; walking around the
+    cycle from rot_0 = 0 solves all but one of these pair constraints.  The
+    shift vector has the zero matrix, so one exact check of the lowest
+    nonnegative member decides the whole family.
+    """
+    rows = [list(row) for row in mat]
+    n = len(rows)
+    shape = (n,) + tuple(sorted({len(row) for row in rows}))
+    if n % 2 or n < 6 or shape != (n, n):
+        raise InvalidIndexError(f"expected a 2m x 2m matrix with m >= 3, got shape {shape}")
+    try:
+        rows = [[operator.index(x) for x in row] for row in rows]
+    except TypeError:
+        raise InvalidIndexError("vertex-multiplicity matrix must be integer") from None
+    if any(x < 0 for row in rows for x in row):
         raise InvalidIndexError("vertex-multiplicity matrix must be nonnegative")
-    return mat.shape[0] // 2
+
+    m = n // 2
+    col1, col2 = parity_position(m, 1), parity_position(m, 2)
+    r = [0] * n
+    for k in range(m):
+        if k:
+            at = parity_position(m, (1 - 2 * k) % n + 1)
+            r[2 * k] = rows[at][col2] - r[2 * ((1 - k) % m) + 1]
+        at = parity_position(m, (-2 * k) % n + 1)
+        r[2 * ((-k) % m) + 1] = rows[at][col1] - r[2 * k]
+    lo, hi = -min(r[0::2]), min(r[1::2])
+    if lo > hi:
+        return None, 0
+    base = Signature(m, _shift(r, lo))
+    if k0_matrix(base) != rows:
+        return None, 0
+    return base, hi - lo + 1
+
+
+def _shift(r, k) -> tuple:
+    """Entries of r moved k steps along the shift family (+k rotations, -k reflections)."""
+    return tuple(x + k if i % 2 == 0 else x - k for i, x in enumerate(r))
+
+
+def _check_range_length(size):
+    if size > MAX_HOMOLOGY_RANGE:
+        raise EnumerationBoundError(
+            f"a homology range of {size} values exceeds the bound 2^16")
 
 
 def k0_is_rigid_type(mat) -> list:
     """All signatures with the given vertex-multiplicity matrix (empty if none).
 
     A matrix is of rigid type exactly when this fibre is nonempty.  The fibre
-    is the one-parameter shift family (r_1 + k, r_2 - k, r_3 + k, ..),
-    recovered here by propagating the pair constraints that columns of
-    vertex 1 and vertex 2 impose, then verifying each candidate exactly.
+    is the shift family of ``_shift_family``, listed in increasing r_1;
+    families longer than ``MAX_HOMOLOGY_RANGE`` raise ``EnumerationBoundError``.
     """
-    mat = np.asarray(mat)
-    m = _check_k0_shape(mat)
-    autos = enumerate_automorphisms(m)
-
-    # Constraints: for u in {1, 2} each image vertex w is hit by exactly one
-    # rotation and one reflection; their multiplicities sum to mat[w, u].
-    constraints = []
-    for u in (1, 2):
-        by_image = {}
-        for j, theta in enumerate(autos):
-            by_image.setdefault(theta.act(u), []).append(j)
-        for w, pair in sorted(by_image.items()):
-            if len(pair) != 2:
-                raise AssertionError("each vertex image must pair one rotation with one reflection")
-            value = int(mat[parity_position(m, w), parity_position(m, u)])
-            constraints.append((pair[0], pair[1], value))
-
-    # Propagate r_j = const_j + sign_j * t with t = r_1.
-    const = {0: 0}
-    sign = {0: 1}
-    changed = True
-    while changed:
-        changed = False
-        for j0, j1, value in constraints:
-            for known, other in ((j0, j1), (j1, j0)):
-                if known in const and other not in const:
-                    const[other] = value - const[known]
-                    sign[other] = -sign[known]
-                    changed = True
-    if len(const) != 2 * m:
-        raise AssertionError("constraint graph on automorphism classes must be connected")
-    for j0, j1, value in constraints:
-        if sign[j0] == sign[j1] or const[j0] + const[j1] != value:
-            return []
-
-    lo = max(-const[j] for j in range(2 * m) if sign[j] > 0)
-    hi = min(const[j] for j in range(2 * m) if sign[j] < 0)
-    fibre = []
-    for t in range(lo, hi + 1):
-        r = tuple(const[j] + sign[j] * t for j in range(2 * m))
-        sig = Signature(m, r)
-        if np.array_equal(k0_matrix(sig), mat):
-            fibre.append(sig)
-    fibre.sort(key=lambda s: s.r)
-    return fibre
+    base, size = _shift_family(mat)
+    _check_range_length(size)
+    return [Signature(base.m, _shift(base.r, k)) for k in range(size)]
 
 
 def signature_from_k0h1(mat, h: int) -> Signature:
     """The unique signature with the given matrix and homology multiplier.
 
     Raises ``K0NotRigidTypeError`` when the matrix has empty fibre and
-    ``HomologyRangeError`` when the matrix is realizable but h is not.
+    ``HomologyRangeError`` when the matrix is realizable but h is not.  The
+    shift by k moves h1 by 2m * k, so the member is picked directly.
     """
     fibre = k0_is_rigid_type(mat)
     if not fibre:
         raise K0NotRigidTypeError("matrix is not a sum of automorphism permutation matrices")
-    for sig in fibre:
-        if h1(sig) == h:
-            return sig
-    values = sorted(h1(sig) for sig in fibre)
+    base = fibre[0]
+    k, rem = divmod(h - h1(base), 2 * base.m)
+    if rem == 0 and 0 <= k < len(fibre):
+        return fibre[k]
+    values = [h1(sig) for sig in fibre]
     raise HomologyRangeError(
         f"homology value {h} is outside the homology range {values} of this matrix"
     )
@@ -227,10 +243,12 @@ def homology_range(sig: Signature) -> tuple:
     The fibre is the shift family (r_1 + k, r_2 - k, ..) with k bounded by
     the smallest rotation and reflection entries, so the range is the
     arithmetic progression h1(sig) + 2m * k, an interval in the mod-2m
-    congruence class of h1(sig).
+    congruence class of h1(sig).  Ranges longer than ``MAX_HOMOLOGY_RANGE``
+    raise ``EnumerationBoundError``.
     """
     rot_min = min(sig.r[0::2])
     refl_min = min(sig.r[1::2])
+    _check_range_length(rot_min + refl_min + 1)
     base = h1(sig)
     return tuple(base + 2 * sig.m * k for k in range(-rot_min, refl_min + 1))
 
@@ -276,9 +294,7 @@ class JointScaleElement:
 
 def scale_element(sig: Signature) -> JointScaleElement:
     """The joint-scale element contributed by a rigid embedding with this signature."""
-    mat = k0_matrix(sig)
-    part = mat[:, 0] + mat[:, sig.m]
-    return JointScaleElement(tuple(int(x) for x in part), h1(sig))
+    return JointScaleElement(tuple(row[0] + row[sig.m] for row in k0_matrix(sig)), h1(sig))
 
 
 def compositions(total, parts):
@@ -303,15 +319,6 @@ def _compositions_array(total, parts) -> np.ndarray:
     middle = np.diff(dividers, axis=1) - 1
     last = total + parts - 2 - dividers[:, -1:]
     return np.hstack([first, middle, last])
-
-
-def row_sum_fits(sig: Signature, shape: CycleAlgebraShape) -> bool:
-    """Capacity of the standard embedding: every row sum of the matrix fits.
-
-    Row sums of a rigid-type matrix are all equal to the signature total, so
-    this is total <= min multiplicity (with equality everywhere for unital).
-    """
-    return sig.total <= min(shape.vertex_mults)
 
 
 def joint_scale_finite(shape: CycleAlgebraShape, unital_only=False,

@@ -195,6 +195,45 @@ def test_signature_fromk0h1(capsys):
     assert report["result"]["kind"] == "HomologyRangeError"
 
 
+def _rows(mat):
+    return ";".join(",".join(str(x) for x in row) for row in mat)
+
+
+def test_signature_fromk0h1_beyond_int64(capsys):
+    big = 2 ** 63
+    rows = _rows([[big if i == j else 0 for j in range(6)] for i in range(6)])
+    assert main(["signature", "fromk0h1", "--m", "3", "--k0", rows, "--h", str(big),
+                 "--json"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["realizable"] is True
+    assert result["signature"] == [big, 0, 0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("argv,field", [
+    (["homrange", "3000000000,0,3000000000,0,3000000000,0"], "signature"),
+    (["fromk0h1", "--m", "3", "--k0", _rows([[2 ** 25 if i // 3 == j // 3 else 0
+                                             for j in range(6)] for i in range(6)]),
+      "--h", "0"], "k0"),
+])
+def test_long_homology_range_refused_in_bounded_memory(argv, field):
+    proc = subprocess.run([sys.executable, "-m", "cyclealg", "signature", *argv, "--json"],
+                          capture_output=True, text=True, timeout=5,
+                          preexec_fn=_limit_address_space,
+                          env=dict(os.environ, OPENBLAS_NUM_THREADS="1"))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(f"error ({field}): ") and proc.stdout == ""
+
+
+def test_homology_range_of_2_16_values_answered(capsys):
+    n = 2 ** 16 - 1
+    assert main(["signature", "homrange", f"{n},0,{n},0,{n},0", "--json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["result"]["homology_range"]) == 2 ** 16
+    rows = _rows([[n if i // 3 == j // 3 else 0 for j in range(6)] for i in range(6)])
+    assert main(["signature", "fromk0h1", "--m", "3", "--k0", rows, "--h", str(3 * n),
+                 "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["signature"] == [n, 0, n, 0, n, 0]
+
+
 def test_signature_malformed_exits_2(capsys):
     assert main(["signature", "homrange", "1,x,1"]) == 2
 

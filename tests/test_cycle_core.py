@@ -9,10 +9,8 @@ from cyclealg.cycle_core import (
     dihedral_inverse,
     element_from_images,
     enumerate_automorphisms,
-    is_range_vertex,
     parity_order,
     parity_position,
-    vertex_action,
 )
 from cyclealg.errors import IncompatibleError, InvalidIndexError
 
@@ -28,19 +26,19 @@ def test_identity_and_named_actions():
     autos = enumerate_automorphisms(3)
     assert autos[0].images() == (1, 2, 3, 4, 5, 6)
     # the reflection with label 2 fixes vertex 1
-    assert vertex_action(autos[1], 1) == 1
+    assert autos[1].act(1) == 1
     # the shift with label 3 maps each vertex k to k - 2
-    assert vertex_action(autos[2], 3) == 1
-    assert vertex_action(autos[2], 1) == 5
+    assert autos[2].act(3) == 1
+    assert autos[2].act(1) == 5
 
 
 def test_rejects_bad_half_length_and_vertex():
     with pytest.raises(InvalidIndexError):
         enumerate_automorphisms(1)
     with pytest.raises(InvalidIndexError):
-        vertex_action(DihedralElement.identity(3), 7)
+        DihedralElement.identity(3).act(7)
     with pytest.raises(InvalidIndexError):
-        vertex_action(DihedralElement.identity(3), 0)
+        DihedralElement.identity(3).act(0)
 
 
 def test_shift_order_m4():
@@ -98,14 +96,14 @@ def test_group_action_property(m):
     for a, b in itertools.product(autos, repeat=2):
         ab = dihedral_compose(a, b)
         for v in range(1, 2 * m + 1):
-            assert vertex_action(ab, v) == vertex_action(a, vertex_action(b, v))
+            assert ab.act(v) == a.act(b.act(v))
 
 
 @pytest.mark.parametrize("m", range(2, 9))
 def test_parity_preserved(m):
     for a in enumerate_automorphisms(m):
         for v in range(1, 2 * m + 1):
-            assert is_range_vertex(vertex_action(a, v)) == is_range_vertex(v)
+            assert a.act(v) % 2 == v % 2
 
 
 @pytest.mark.parametrize("m", range(2, 9))

@@ -291,7 +291,7 @@ def test_stationary_prefix_composites():
     # s = 0, d = 2: the composite matrix after two steps is the square
     t = tower(3, 2, 0)
     levels = finite_level_invariants(stationary_prefix(t, 3))
-    step = k0_matrix(t.constant_signature())
+    step = np.array(k0_matrix(t.constant_signature()))
     assert np.array_equal(np.array(levels[1]["k0_matrix"]), step)
     assert np.array_equal(np.array(levels[2]["k0_matrix"]), step @ step)
     assert levels[1]["h1"] == 0 and levels[2]["h1"] == 0
@@ -370,11 +370,12 @@ def test_long_homology_range_refused_before_report(levels):
     assert err.value.level == 5
 
 
-def test_composite_total_beyond_int64_refused():
-    # one rotation class only, so the homology range stays a single value
+def test_composite_total_beyond_int64_reported():
+    # one rotation class only, so the homology range stays a single value;
+    # the last composite total 30^13 is beyond 2^63
     shapes = tuple(CycleAlgebraShape.uniform(3, 30 ** k) for k in range(14))
     step = Signature(3, (30, 0, 0, 0, 0, 0))
-    with pytest.raises(InvalidTowerError, match="total") as err:
-        finite_level_invariants(ExplicitTower(shapes, (step,) * 13))
-    assert err.value.level == 14
-    assert len(finite_level_invariants(ExplicitTower(shapes[:13], (step,) * 12))) == 13
+    levels = finite_level_invariants(ExplicitTower(shapes, (step,) * 13))
+    assert len(levels) == 14
+    assert [sum(row) for row in levels[-1]["k0_matrix"]] == [30 ** 13] * 6
+    assert levels[-1]["h1"] == 30 ** 13

@@ -15,11 +15,11 @@ from cyclealg.errors import (
     K0NotRigidTypeError,
 )
 from cyclealg.signatures import (
+    MAX_HOMOLOGY_RANGE,
     CycleAlgebraShape,
     JointScaleElement,
     Signature,
     compositions,
-    conjugate_eq,
     h1,
     homology_range,
     joint_scale_finite,
@@ -44,6 +44,22 @@ def sig3(*r):
 def signatures_st(m=3, max_entry=4):
     return st.lists(st.integers(0, max_entry), min_size=2 * m, max_size=2 * m).map(
         lambda r: Signature(m, tuple(r)))
+
+
+def small_pair_signatures_st(m=3, max_entry=2 ** 200):
+    """Entries up to max_entry, except one rotation and one reflection entry <= 10."""
+    def build(r, rot, refl):
+        r = list(r)
+        r[2 * rot], r[2 * refl + 1] = r[2 * rot] % 11, r[2 * refl + 1] % 11
+        return Signature(m, tuple(r))
+    return st.builds(build,
+                     st.lists(st.integers(0, max_entry), min_size=2 * m, max_size=2 * m),
+                     st.integers(0, m - 1), st.integers(0, m - 1))
+
+
+def matmul(a, b):
+    """Exact product of two matrices given as lists of Python-int rows."""
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
 # -- matrix and homology ----------------------------------------------------
@@ -81,9 +97,22 @@ def test_k0_matches_permutation_sum():
 
 
 def test_k0_block_diagonal_parity():
-    mat = k0_matrix(sig3(1, 2, 3, 4, 5, 6))
+    mat = np.array(k0_matrix(sig3(1, 2, 3, 4, 5, 6)))
     assert np.all(mat[:3, 3:] == 0)
     assert np.all(mat[3:, :3] == 0)
+
+
+def test_k0_entries_are_python_ints():
+    for sig in (sig3(1, 2, 3, 4, 5, 6), Signature(4, (2 ** 100,) * 8)):
+        mat = k0_matrix(sig)
+        assert isinstance(mat, list) and len(mat) == 2 * sig.m
+        assert all(type(x) is int for row in mat for x in row)
+
+
+def test_k0_row_sums_exact_beyond_int64():
+    # int64 arithmetic wraps these row sums to -2^63
+    mat = k0_matrix(sig3(2 ** 62, 2 ** 62, 0, 0, 0, 0))
+    assert [sum(row) for row in mat] == [2 ** 63] * 6
 
 
 def test_h1_values():
@@ -137,10 +166,12 @@ def test_compose_associative(a, b, c):
 
 
 @settings(max_examples=60, deadline=None)
-@given(signatures_st(), signatures_st())
-def test_k0_and_h1_multiplicative(inner, outer):
+@given(st.one_of(st.tuples(signatures_st(), signatures_st()),
+                 st.tuples(signatures_st(max_entry=2 ** 200), signatures_st(max_entry=2 ** 200))))
+def test_k0_and_h1_multiplicative(pair):
+    inner, outer = pair
     comp = signature_compose(inner, outer)
-    assert np.array_equal(k0_matrix(comp), k0_matrix(outer) @ k0_matrix(inner))
+    assert k0_matrix(comp) == matmul(k0_matrix(outer), k0_matrix(inner))
     assert h1(comp) == h1(outer) * h1(inner)
 
 
@@ -148,22 +179,20 @@ def test_functoriality_exhaustive_on_unit_classes():
     for m in (3, 4):
         for sa, sb in itertools.product(unit_signatures(m), repeat=2):
             comp = signature_compose(sb, sa)
-            assert np.array_equal(k0_matrix(comp), k0_matrix(sa) @ k0_matrix(sb))
+            assert k0_matrix(comp) == matmul(k0_matrix(sa), k0_matrix(sb))
             assert h1(comp) == h1(sa) * h1(sb)
 
 
 # -- conjugacy --------------------------------------------------------------
 
-def test_conjugate_eq():
-    assert conjugate_eq(sig3(1, 2, 0, 0, 0, 0), sig3(1, 2, 0, 0, 0, 0))
-    assert not conjugate_eq(sig3(1, 0, 0, 0, 0, 0), sig3(0, 1, 0, 0, 0, 0))
+def test_conjugacy_is_signature_equality():
+    assert sig3(1, 2, 0, 0, 0, 0).r == sig3(1, 2, 0, 0, 0, 0).r
+    assert sig3(1, 0, 0, 0, 0, 0).r != sig3(0, 1, 0, 0, 0, 0).r
     # equal matrices, different homology: still distinct classes
     a, b = sig3(1, 1, 1, 1, 1, 1), sig3(2, 0, 2, 0, 2, 0)
-    assert np.array_equal(k0_matrix(a), k0_matrix(b))
+    assert k0_matrix(a) == k0_matrix(b)
     assert h1(a) != h1(b)
-    assert not conjugate_eq(a, b)
-    with pytest.raises(IncompatibleError):
-        conjugate_eq(sig3(1, 0, 0, 0, 0, 0), Signature(4, (1,) + (0,) * 7))
+    assert a.r != b.r
 
 
 # -- fibres and recovery ----------------------------------------------------
@@ -200,6 +229,32 @@ def test_recovery_examples():
         signature_from_k0h1(np.diag([2, 1, 1, 1, 1, 1]), 0)
 
 
+def test_fibre_input_validation():
+    with pytest.raises(InvalidIndexError, match=r"got shape \(4, 4\)"):
+        k0_is_rigid_type(np.eye(4, dtype=np.int64))
+    with pytest.raises(InvalidIndexError, match="must be integer"):
+        k0_is_rigid_type(np.eye(6))
+    with pytest.raises(InvalidIndexError, match="must be nonnegative"):
+        k0_is_rigid_type(-np.eye(6, dtype=np.int64))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(small_pair_signatures_st(max_entry=6), small_pair_signatures_st(),
+                 small_pair_signatures_st(m=5)))
+def test_recovery_roundtrip_large_entries(sig):
+    assert signature_from_k0h1(k0_matrix(sig), h1(sig)) == sig
+
+
+def test_fibre_bound():
+    # the (2^24,)*6 matrix has a fibre of 2^25 + 1 members
+    with pytest.raises(EnumerationBoundError):
+        k0_is_rigid_type(k0_matrix(sig3(*(2 ** 24,) * 6)))
+    n = MAX_HOMOLOGY_RANGE
+    assert len(k0_is_rigid_type(k0_matrix(sig3(n - 1, 0, n - 1, 0, n - 1, 0)))) == 2 ** 16
+    with pytest.raises(EnumerationBoundError):
+        k0_is_rigid_type(k0_matrix(sig3(n, 0, n, 0, n, 0)))
+
+
 def test_roundtrip_exhaustive_small():
     report = k0h1_roundtrip_report(3, max_entry=1)
     assert report["ok"] and report["count"] == 64
@@ -211,6 +266,13 @@ def test_homology_range_examples():
     assert homology_range(sig3(1, 0, 0, 0, 0, 0)) == (1,)
     assert homology_range(sig3(1, 1, 1, 1, 1, 1)) == (-6, 0, 6)
     assert homology_range(sig3(2, 1, 2, 1, 2, 1)) == (-9, -3, 3, 9)
+
+
+def test_homology_range_bound():
+    n = MAX_HOMOLOGY_RANGE
+    assert len(homology_range(sig3(n - 1, 0, n - 1, 0, n - 1, 0))) == 2 ** 16
+    with pytest.raises(EnumerationBoundError):
+        homology_range(sig3(0, n, 0, n, 0, n))
 
 
 def test_homology_range_matches_fibre_bruteforce():
