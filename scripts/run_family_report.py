@@ -43,7 +43,6 @@ def main():
             "homologically_limited": is_homologically_limited(t),
         })
 
-    classes = []
     matrix = []
     for a in towers:
         row = []
@@ -51,9 +50,6 @@ def main():
             verdict = decide_isomorphism(a, b)
             row.append("=" if verdict.isomorphic else verdict.witness[0])
         matrix.append("".join(row))
-    for t in towers:
-        rep = next(u for u in towers if decide_isomorphism(t, u).isomorphic)
-        classes.append((t.d, t.s, rep.d, rep.s))
 
     if args.json:
         print(json.dumps({"towers": rows, "verdict_matrix": matrix}, sort_keys=True,

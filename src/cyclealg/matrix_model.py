@@ -16,7 +16,9 @@ embedding of the 4-cycle algebra.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate, product
 
 import numpy as np
 
@@ -39,7 +41,6 @@ from .signatures import (
     Signature,
     signature_compose,
     signature_from_k0h1,
-    signatures_with_entries_at_most,
     unit_signatures,
 )
 
@@ -48,39 +49,41 @@ _PIECE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class MatrixAlgebraModel:
-    """A 2m-cycle algebra realized in M_N with the staircase support pattern."""
+    """A 2m-cycle algebra realized in M_N with the staircase support pattern.
+
+    Vertex v owns the contiguous block ``starts[v - 1]:starts[v]`` of flat
+    indices; ``starts[-1]`` is N.
+    """
 
     m: int
     vertex_mults: tuple
+    starts: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         shape = CycleAlgebraShape(self.m, self.vertex_mults)
         object.__setattr__(self, "vertex_mults", shape.vertex_mults)
+        object.__setattr__(self, "starts", tuple(accumulate(shape.vertex_mults, initial=0)))
 
     @property
     def dimension(self) -> int:
-        return sum(self.vertex_mults)
+        return self.starts[-1]
 
-    def offset(self, v) -> int:
-        """First flat index of the block of vertex v (1-based vertex)."""
-        return sum(self.vertex_mults[: v - 1])
+    def block(self, v) -> slice:
+        """The flat indices of vertex v (1-based) as a slice."""
+        return slice(self.starts[v - 1], self.starts[v])
 
     def flat_index(self, v, p) -> int:
         if not 0 <= p < self.vertex_mults[v - 1]:
             raise InvalidIndexError(f"slot {p} out of range for vertex {v}")
-        return self.offset(v) + p
+        return self.starts[v - 1] + p
 
     def block_indices(self, v):
-        off = self.offset(v)
-        return range(off, off + self.vertex_mults[v - 1])
+        return range(self.starts[v - 1], self.starts[v])
 
     def vertex_of_index(self, i) -> int:
         if not 0 <= i < self.dimension:
             raise InvalidIndexError(f"flat index {i} out of range")
-        for v in range(1, 2 * self.m + 1):
-            if i < self.offset(v) + self.vertex_mults[v - 1]:
-                return v
-        raise AssertionError("unreachable")
+        return bisect_right(self.starts, i)
 
     def supported_block_pairs(self):
         """Vertex block pairs (row vertex, column vertex) of the staircase form."""
@@ -94,13 +97,8 @@ class MatrixAlgebraModel:
     def support_mask(self) -> np.ndarray:
         mask = np.zeros((self.dimension, self.dimension), dtype=bool)
         for (i, j) in self.supported_block_pairs():
-            mask[np.ix_(self.block_indices(i), self.block_indices(j))] = True
+            mask[self.block(i), self.block(j)] = True
         return mask
-
-
-def build_cycle_algebra(shape: CycleAlgebraShape) -> MatrixAlgebraModel:
-    """The staircase matrix model of a cycle algebra shape."""
-    return MatrixAlgebraModel(shape.m, shape.vertex_mults)
 
 
 def basic_model(m) -> MatrixAlgebraModel:
@@ -156,14 +154,18 @@ def locally_regular_check(x, model: MatrixAlgebraModel, tol=1e-6) -> bool:
     return True
 
 
+def _max_block_distance(x, model: MatrixAlgebraModel, pairs) -> float:
+    """Largest partial-isometry defect of the vertex blocks (i, j) of x over the pairs."""
+    worst = 0.0
+    for (i, j) in pairs:
+        worst = max(worst, distance_to_partial_isometry(x[model.block(i), model.block(j)]))
+    return worst
+
+
 def max_minimal_compression_distance(x, model: MatrixAlgebraModel) -> float:
     """Largest partial-isometry defect over pairs of minimal central projections."""
-    x = np.asarray(x, dtype=complex)
-    worst = 0.0
-    for p in range(1, 2 * model.m + 1):
-        for q in range(1, 2 * model.m + 1):
-            worst = max(worst, distance_to_partial_isometry(_compression(x, model, [p], [q])))
-    return worst
+    vertices = range(1, 2 * model.m + 1)
+    return _max_block_distance(np.asarray(x, dtype=complex), model, product(vertices, vertices))
 
 
 # ---------------------------------------------------------------------------
@@ -209,69 +211,50 @@ class ConcreteEmbedding:
         return out
 
 
-def _source_units(model: MatrixAlgebraModel):
-    for (i, j) in model.supported_block_pairs():
-        for p in range(model.vertex_mults[i - 1]):
-            for q in range(model.vertex_mults[j - 1]):
-                yield (model.flat_index(i, p), model.flat_index(j, q))
-
-
-def realize_multiplicity_one(element: DihedralElement, target: MatrixAlgebraModel,
-                             source: MatrixAlgebraModel = None,
-                             slots=None) -> ConcreteEmbedding:
-    """Standard-form multiplicity-one embedding inducing the given automorphism.
-
-    Each source slot (v, p) is sent to the target slot (element(v),
-    slots[element(v)] + p); matrix units map to single matrix units.
-    """
-    check_half_length(element.m, minimum=3)
-    source = basic_model(element.m) if source is None else source
-    if not (element.m == source.m == target.m):
-        raise IncompatibleError("automorphism, source and target must share the cycle length")
-    slots = dict(slots or {})
-    offsets = {v: slots.get(v, 0) for v in range(1, 2 * element.m + 1)}
-
-    for v in range(1, 2 * element.m + 1):
-        w = element.act(v)
-        need = offsets[w] + source.vertex_mults[v - 1]
-        if need > target.vertex_mults[w - 1]:
-            raise CapacityError(
-                f"vertex {w} of the target has multiplicity {target.vertex_mults[w - 1]}, "
-                f"placement needs {need}"
-            )
-
-    def image_slot(v, p):
-        w = element.act(v)
-        return target.flat_index(w, offsets[w] + p)
-
-    unit_images = {}
-    for (i, j) in source.supported_block_pairs():
-        for p in range(source.vertex_mults[i - 1]):
-            for q in range(source.vertex_mults[j - 1]):
-                r, c = source.flat_index(i, p), source.flat_index(j, q)
-                unit_images[(r, c)] = ((image_slot(i, p), image_slot(j, q), 1.0 + 0.0j),)
-    return ConcreteEmbedding(source, target, unit_images)
-
-
 def realize_rigid(sig: Signature, target: MatrixAlgebraModel,
                   source: MatrixAlgebraModel = None) -> ConcreteEmbedding:
-    """Block-diagonal direct sum of multiplicity-one embeddings with the given signature."""
+    """Block-diagonal direct sum of multiplicity-one embeddings with the given signature.
+
+    Summands are placed in label order, each copy of an automorphism theta
+    taking the next free slots: source slot (v, p) goes to target slot
+    (theta(v), used + p).  A matrix unit maps to one matrix unit per summand,
+    listed in summand order.
+    """
     if sig.is_zero:
         raise UnsupportedInputError("the zero signature does not define an embedding")
     source = basic_model(sig.m) if source is None else source
     if sig.m != source.m or sig.m != target.m:
         raise IncompatibleError("signature, source and target must share the cycle length")
 
-    offsets = {v: 0 for v in range(1, 2 * sig.m + 1)}
-    merged = {key: [] for key in _source_units(source)}
+    used = [0] * (2 * sig.m + 1)  # slots taken so far at each target vertex
+    slot_maps = []  # per summand: target flat index of every source flat index
     for theta, mult in zip(enumerate_automorphisms(sig.m), sig.r):
         for _ in range(mult):
-            summand = realize_multiplicity_one(theta, target, source=source, slots=offsets)
-            for key, pieces in summand.unit_images.items():
-                merged[key].extend(pieces)
+            slot_map = []
             for v in range(1, 2 * sig.m + 1):
-                offsets[theta.act(v)] += source.vertex_mults[v - 1]
-    return ConcreteEmbedding(source, target, {k: tuple(v) for k, v in merged.items()})
+                w = theta.act(v)
+                need = used[w] + source.vertex_mults[v - 1]
+                if need > target.vertex_mults[w - 1]:
+                    raise CapacityError(
+                        f"vertex {w} of the target has multiplicity "
+                        f"{target.vertex_mults[w - 1]}, placement needs {need}"
+                    )
+                slot_map.extend(range(target.starts[w - 1] + used[w], target.starts[w - 1] + need))
+                used[w] = need
+            slot_maps.append(slot_map)
+
+    unit_images = {}
+    for (i, j) in source.supported_block_pairs():
+        for r in source.block_indices(i):
+            for c in source.block_indices(j):
+                unit_images[(r, c)] = tuple((s[r], s[c], 1.0 + 0.0j) for s in slot_maps)
+    return ConcreteEmbedding(source, target, unit_images)
+
+
+def realize_multiplicity_one(element: DihedralElement, target: MatrixAlgebraModel,
+                             source: MatrixAlgebraModel = None) -> ConcreteEmbedding:
+    """Standard-form multiplicity-one embedding inducing the given automorphism."""
+    return realize_rigid(Signature.unit(element), target, source)
 
 
 def compose_embeddings(f: ConcreteEmbedding, g: ConcreteEmbedding) -> ConcreteEmbedding:
@@ -293,24 +276,6 @@ def compose_embeddings(f: ConcreteEmbedding, g: ConcreteEmbedding) -> ConcreteEm
             (rr, cc, val) for (rr, cc), val in sorted(acc.items()) if abs(val) > _PIECE_TOL
         )
     return ConcreteEmbedding(f.source, g.target, unit_images)
-
-
-def validate_star_extendible(emb: ConcreteEmbedding, tol=_PIECE_TOL) -> float:
-    """Largest defect of the multiplicativity and adjoint relations on generators."""
-    dense = {key: emb.image_of_unit(*key) for key in emb.unit_images}
-    worst = 0.0
-    keys = sorted(dense)
-    for (i, j) in keys:
-        im = dense[(i, j)]
-        worst = max(worst, float(np.max(np.abs(im @ im.conj().T - dense[(i, i)]))))
-        worst = max(worst, float(np.max(np.abs(im.conj().T @ im - dense[(j, j)]))))
-        for (k, l) in keys:
-            prod = im @ dense[(k, l)]
-            expected = dense[(i, l)] if j == k and (i, l) in dense else 0.0
-            worst = max(worst, float(np.max(np.abs(prod - expected))))
-    if worst > tol:
-        raise UnsupportedInputError(f"embedding violates star relations by {worst:.3e}")
-    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -428,8 +393,7 @@ def _random_block_unitary(model: MatrixAlgebraModel, rng) -> np.ndarray:
         z = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
         q, r = np.linalg.qr(z)
         q = q * (np.diag(r) / np.abs(np.diag(r)))
-        idx = list(model.block_indices(v))
-        u[np.ix_(idx, idx)] = q
+        u[model.block(v), model.block(v)] = q
     return u
 
 
@@ -440,7 +404,7 @@ def random_source_partial_isometry(m, rng) -> np.ndarray:
     unimodular coefficients is such a partial isometry.
     """
     src = basic_model(m)
-    units = sorted(_source_units(src))
+    units = [(i - 1, j - 1) for (i, j) in src.supported_block_pairs()]
     order = rng.permutation(len(units))
     x = np.zeros((src.dimension, src.dimension), dtype=complex)
     rows_used, cols_used = set(), set()
@@ -475,11 +439,33 @@ def random_model_partial_isometry(model: MatrixAlgebraModel, rng):
 
 
 def _max_block_entry_deviation(a, model: MatrixAlgebraModel) -> float:
-    worst = 0.0
-    for (i, j) in model.supported_block_pairs():
-        block = a[np.ix_(list(model.block_indices(i)), list(model.block_indices(j)))]
-        worst = max(worst, distance_to_partial_isometry(block))
-    return worst
+    return _max_block_distance(a, model, model.supported_block_pairs())
+
+
+def _harness_trials(model: MatrixAlgebraModel, trials, seed, delta=0.0):
+    """Yield (t, signature, max block-entry deviation) for each seeded trial.
+
+    Each trial is a random model partial isometry; delta > 0 adds a random
+    perturbation of operator norm delta inside the support before measuring.
+    """
+    if model.m < 3:
+        raise InvalidIndexError(
+            "the entrywise partial-isometry property fails for 4-cycle algebras; need m >= 3"
+        )
+    if delta < 0:
+        raise InvalidIndexError("delta must be nonnegative")
+    if trials < 1:
+        raise InvalidIndexError(f"trials must be at least 1, got {trials}")
+    rng = np.random.default_rng(seed)
+    mask = model.support_mask() if delta > 0 else None
+    for t in range(trials):
+        a, sig = random_model_partial_isometry(model, rng)
+        if delta > 0:
+            e = rng.standard_normal(a.shape) + 1j * rng.standard_normal(a.shape)
+            e[~mask] = 0.0
+            e *= delta / np.linalg.norm(e, 2)
+            a = a + e
+        yield t, sig, _max_block_entry_deviation(a, model)
 
 
 def entrywise_partial_isometry_report(model: MatrixAlgebraModel, trials=100,
@@ -491,17 +477,10 @@ def entrywise_partial_isometry_report(model: MatrixAlgebraModel, trials=100,
     verifies it on randomly constructed instances and reports the maximum
     deviation.  Refused for m = 2, where the property fails.
     """
-    if model.m < 3:
-        raise InvalidIndexError(
-            "the entrywise partial-isometry property fails for 4-cycle algebras; need m >= 3"
-        )
     if tol <= 0:
         raise InvalidIndexError(f"tolerance must be positive, got {tol}")
-    rng = np.random.default_rng(seed)
     max_dev, worst_trial = 0.0, None
-    for t in range(trials):
-        a, sig = random_model_partial_isometry(model, rng)
-        dev = _max_block_entry_deviation(a, model)
+    for t, sig, dev in _harness_trials(model, trials, seed):
         if dev > max_dev:
             max_dev, worst_trial = dev, {"trial": t, "signature": list(sig.r)}
     return {
@@ -524,23 +503,8 @@ def perturbed_entry_report(model: MatrixAlgebraModel, delta, trials=50,
     This measures the delta-to-epsilon dependence of the approximate
     entrywise property; the harness records and never asserts a bound.
     """
-    if model.m < 3:
-        raise InvalidIndexError(
-            "the entrywise partial-isometry property fails for 4-cycle algebras; need m >= 3"
-        )
-    if delta < 0:
-        raise InvalidIndexError("delta must be nonnegative")
-    rng = np.random.default_rng(seed)
-    mask = model.support_mask()
-    rows = []
-    for t in range(trials):
-        a, _ = random_model_partial_isometry(model, rng)
-        if delta > 0:
-            e = rng.standard_normal(a.shape) + 1j * rng.standard_normal(a.shape)
-            e[~mask] = 0.0
-            e *= delta / np.linalg.norm(e, 2)
-            a = a + e
-        rows.append({"trial": t, "entry_deviation": _max_block_entry_deviation(a, model)})
+    rows = [{"trial": t, "entry_deviation": dev}
+            for t, _, dev in _harness_trials(model, trials, seed, delta)]
     max_dev = max(row["entry_deviation"] for row in rows)
     return {
         "check": "perturbed-entry-distances",
@@ -582,29 +546,6 @@ def composition_oracle_report(m) -> dict:
         "matches": total - len(mismatches),
         "mismatches": mismatches,
         "ok": not mismatches,
-    }
-
-
-def realize_roundtrip_report(m, max_entry=2) -> dict:
-    """Realize every signature with entries <= max_entry and decompose it back."""
-    check_half_length(m, minimum=3)
-    cap = 2 * m * max_entry
-    target = MatrixAlgebraModel(m, (cap,) * (2 * m))
-    count, failures = 0, []
-    for sig in signatures_with_entries_at_most(m, max_entry):
-        if sig.is_zero:
-            continue
-        count += 1
-        got = decompose_signature(realize_rigid(sig, target))
-        if got.r != sig.r:
-            failures.append({"signature": list(sig.r), "got": list(got.r)})
-    return {
-        "check": "realize-roundtrip",
-        "m": m,
-        "max_entry": max_entry,
-        "count": count,
-        "failures": failures,
-        "ok": not failures,
     }
 
 

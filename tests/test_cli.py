@@ -3,6 +3,7 @@ import os
 import resource
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -234,6 +235,17 @@ def test_homology_range_of_2_16_values_answered(capsys):
     assert json.loads(capsys.readouterr().out)["result"]["signature"] == [n, 0, n, 0, n, 0]
 
 
+def test_signature_fromk0h1_refuses_small_m(capsys):
+    # refused at field m before the matrix is parsed
+    assert main(["signature", "fromk0h1", "--m", "2", "--k0",
+                 "1,0,0,0;0,1,0,0;0,0,1,0;0,0,0,1", "--h", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error (m): ")
+    assert main(["signature", "fromk0h1", "--m", "1", "--k0", "not a matrix", "--h", "0"]) == 2
+    assert capsys.readouterr().err.startswith("error (m): ")
+
+
 def test_signature_malformed_exits_2(capsys):
     assert main(["signature", "homrange", "1,x,1"]) == 2
 
@@ -261,6 +273,15 @@ def test_verify_refuses_four_cycle(capsys):
     assert main(["verify", "lemma31", "--m", "2", "--trials", "1"]) == 2
 
 
+@pytest.mark.parametrize("target", ["lemma22", "lemma31"])
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_verify_refuses_trials_below_one(capsys, target, trials):
+    assert main(["verify", target, "--m", "3", "--trials", trials]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "trials" in captured.err
+
+
 def test_cli_subprocess_determinism(tmp_path):
     # byte-identical output for identical inputs, flags and seed
     spec = write_spec(tmp_path, "t.json", STATIONARY)
@@ -277,6 +298,22 @@ def test_cli_subprocess_determinism(tmp_path):
         second = run_cli(*cmd)
         assert first == second
         assert first[0] == 0
+
+
+def test_family_report_script_smoke():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, str(root / "scripts" / "run_family_report.py"),
+                           "--max-d", "3", "--json"], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert len(report["towers"]) == 9
+    matrix = report["verdict_matrix"]
+    assert len(matrix) == 9 and all(len(row) == 9 for row in matrix)
+    for i, row in enumerate(matrix):
+        assert row[i] == "="
+        assert all(row[j] == matrix[j][i] for j in range(9))
 
 
 def test_version_and_usage_exit_codes(capsys):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclealg.cycle_core import enumerate_automorphisms
 from cyclealg.errors import (
@@ -11,7 +13,6 @@ from cyclealg.errors import (
 from cyclealg.matrix_model import (
     MatrixAlgebraModel,
     basic_model,
-    build_cycle_algebra,
     compose_embeddings,
     composition_oracle_report,
     decompose_signature,
@@ -23,8 +24,6 @@ from cyclealg.matrix_model import (
     perturbed_entry_report,
     realize_multiplicity_one,
     realize_rigid,
-    realize_roundtrip_report,
-    validate_star_extendible,
 )
 from cyclealg.signatures import (
     CycleAlgebraShape,
@@ -43,6 +42,23 @@ HEXAGON_MASK = np.array([
     [0, 0, 0, 1, 1, 1],
     [0, 0, 0, 0, 0, 1],
 ], dtype=bool)
+
+
+def validate_star_extendible(emb, tol=1e-9) -> float:
+    """Largest defect of the multiplicativity and adjoint relations on generators."""
+    dense = {key: emb.image_of_unit(*key) for key in emb.unit_images}
+    worst = 0.0
+    keys = sorted(dense)
+    for (i, j) in keys:
+        im = dense[(i, j)]
+        worst = max(worst, float(np.max(np.abs(im @ im.conj().T - dense[(i, i)]))))
+        worst = max(worst, float(np.max(np.abs(im.conj().T @ im - dense[(j, j)]))))
+        for (k, l) in keys:
+            prod = im @ dense[(k, l)]
+            expected = dense[(i, l)] if j == k and (i, l) in dense else 0.0
+            worst = max(worst, float(np.max(np.abs(prod - expected))))
+    assert worst <= tol, f"embedding violates star relations by {worst:.3e}"
+    return worst
 
 
 # -- models and masks --------------------------------------------------------
@@ -74,7 +90,8 @@ def test_support_is_reflexive_and_transitive_blockwise(m):
 
 
 def test_block_layout_with_multiplicities():
-    model = build_cycle_algebra(CycleAlgebraShape(3, (2, 1, 1, 1, 1, 1)))
+    shape = CycleAlgebraShape(3, (2, 1, 1, 1, 1, 1))
+    model = MatrixAlgebraModel(shape.m, shape.vertex_mults)
     assert model.dimension == 7
     assert list(model.block_indices(1)) == [0, 1]
     assert list(model.block_indices(2)) == [2]
@@ -82,6 +99,44 @@ def test_block_layout_with_multiplicities():
     assert mask[0, 1] and mask[1, 0]  # diagonal blocks fully supported
     assert mask[0, 2] and not mask[2, 0]
     assert model.vertex_of_index(1) == 1 and model.vertex_of_index(6) == 6
+
+
+@st.composite
+def model_shapes_st(draw):
+    m = draw(st.integers(2, 6))
+    return m, tuple(draw(st.lists(st.integers(1, 5), min_size=2 * m, max_size=2 * m)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(model_shapes_st())
+def test_block_layout_matches_cumulative_sum_reference(shape):
+    m, mults = shape
+    model = MatrixAlgebraModel(m, mults)
+    starts = [0]
+    for k in mults:
+        starts.append(starts[-1] + k)
+    n = starts[-1]
+    assert model.dimension == n
+    owner = []
+    for v in range(1, 2 * m + 1):
+        idx = list(range(starts[v - 1], starts[v]))
+        assert list(model.block_indices(v)) == idx
+        assert [model.flat_index(v, p) for p in range(mults[v - 1])] == idx
+        owner.extend([v] * mults[v - 1])
+        with pytest.raises(InvalidIndexError):
+            model.flat_index(v, mults[v - 1])
+    assert [model.vertex_of_index(i) for i in range(n)] == owner
+    for i in (-1, n):
+        with pytest.raises(InvalidIndexError):
+            model.vertex_of_index(i)
+    # staircase: diagonal blocks, and each odd vertex sees its two neighbours
+    expected = np.zeros((n, n), dtype=bool)
+    for i in range(1, 2 * m + 1):
+        cols = [i] if i % 2 == 0 else [i, i % (2 * m) + 1, (i - 2) % (2 * m) + 1]
+        for j in cols:
+            expected[np.ix_(range(starts[i - 1], starts[i]),
+                            range(starts[j - 1], starts[j]))] = True
+    assert np.array_equal(model.support_mask(), expected)
 
 
 # -- distance ----------------------------------------------------------------
@@ -152,7 +207,7 @@ def test_row_sum_capacity_predicts_realizability():
         if sig.is_zero:
             continue
         shape = CycleAlgebraShape(3, tuple(int(x) for x in rng.integers(1, 8, size=6)))
-        target = build_cycle_algebra(shape)
+        target = MatrixAlgebraModel(shape.m, shape.vertex_mults)
         try:
             realize_rigid(sig, target)
             realized = True
@@ -209,13 +264,15 @@ def test_decompose_rejects_non_standard_form():
         decompose_signature(ConcreteEmbedding(unit, unit, bad))
 
 
-def test_realize_decompose_roundtrip_sample():
-    target = MatrixAlgebraModel(3, (12,) * 6)
-    rng = np.random.default_rng(3)
-    sigs = [s for s in signatures_with_entries_at_most(3, 2) if not s.is_zero]
-    for idx in rng.choice(len(sigs), size=40, replace=False):
-        sig = sigs[idx]
-        assert decompose_signature(realize_rigid(sig, target)).r == sig.r
+def test_realize_decompose_roundtrip_exhaustive():
+    # every nonzero signature with entries <= max_entry, in a target whose
+    # multiplicity 6 * max_entry the largest of them fills exactly
+    for max_entry, count in ((1, 63), (2, 728)):
+        target = MatrixAlgebraModel(3, (6 * max_entry,) * 6)
+        sigs = [s for s in signatures_with_entries_at_most(3, max_entry) if not s.is_zero]
+        assert len(sigs) == count
+        for sig in sigs:
+            assert decompose_signature(realize_rigid(sig, target)).r == sig.r
 
 
 def test_decompose_from_larger_source():
@@ -281,6 +338,18 @@ def test_matrix_unit_cycle_has_zero_deviation():
     assert _max_block_entry_deviation(cycle, model) == 0.0
 
 
+@pytest.mark.parametrize("dims,seed", [((2,) * 6, 4), ((1, 3, 2, 1, 2, 3), 31)])
+def test_unperturbed_stream_matches_entrywise_report(dims, seed):
+    # delta = 0 draws the same trials as the entrywise harness at the same seed
+    model = MatrixAlgebraModel(3, dims)
+    plain = entrywise_partial_isometry_report(model, trials=12, seed=seed)
+    perturbed = perturbed_entry_report(model, delta=0.0, trials=12, seed=seed)
+    assert perturbed["max_entry_deviation"] == plain["max_deviation"]
+    if plain["worst_trial"] is not None:
+        worst = max(perturbed["rows"], key=lambda row: row["entry_deviation"])
+        assert worst["trial"] == plain["worst_trial"]["trial"]
+
+
 def test_perturbed_report_records():
     model = MatrixAlgebraModel(3, (2,) * 6)
     report = perturbed_entry_report(model, delta=0.0, trials=10, epsilon=1e-4, seed=2)
@@ -291,13 +360,6 @@ def test_perturbed_report_records():
     # large perturbations are recorded, never asserted against
     report = perturbed_entry_report(model, delta=0.3, trials=5, epsilon=1e-4, seed=2)
     assert report["ok"] and not report["within_epsilon"]
-
-
-def test_realize_roundtrip_report_exhaustive():
-    report = realize_roundtrip_report(3, max_entry=1)
-    assert report["ok"] and report["count"] == 63
-    report = realize_roundtrip_report(3, max_entry=2)
-    assert report["ok"] and report["count"] == 728
 
 
 # -- local regularity and the nonregular example ------------------------------
