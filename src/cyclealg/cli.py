@@ -26,22 +26,21 @@ from .errors import (
     CrossCycleLengthError,
     CycleAlgebraError,
     EnumerationBoundError,
+    InvalidIndexError,
     InvalidTowerError,
     SpecValidationError,
 )
 from .limits import (
     ExplicitTower,
-    LimitScaleQuery,
     StationaryMatroidTower,
     check_capacity,
     decide_isomorphism,
-    enumerate_S,
     finite_level_invariants,
     h1_limit,
     is_extreme,
     is_homologically_limited,
     k0_limit,
-    unital_joint_scale_contains,
+    unital_scale_numerators,
 )
 from .matrix_model import (
     MatrixAlgebraModel,
@@ -51,6 +50,7 @@ from .matrix_model import (
     perturbed_entry_report,
 )
 from .signatures import (
+    MAX_HOMOLOGY_RANGE,
     CycleAlgebraShape,
     Signature,
     h1,
@@ -98,9 +98,10 @@ def parse_tower_spec(data) -> tuple:
         _expect(_is_int(d) and d >= 1, "d must be a positive integer", "$.d")
         s = data.get("s")
         _expect(_is_int(s), "s must be an integer", "$.s")
-        _expect(s in enumerate_S(m, d),
-                f"s must lie in {enumerate_S(m, d)}", "$.s")
-        return "stationary", StationaryMatroidTower(m, d, s)
+        try:
+            return "stationary", StationaryMatroidTower(m, d, s)
+        except InvalidIndexError as exc:
+            raise SpecValidationError(str(exc), field="$.s") from exc
 
     shapes_raw = data.get("shapes")
     _expect(isinstance(shapes_raw, list) and shapes_raw, "shapes must be a nonempty list",
@@ -236,11 +237,13 @@ def _parse_dims(text, m) -> tuple:
 def cmd_invariants(args) -> int:
     mode, tower = load_tower_spec(args.spec)
     if mode == "stationary":
+        samples = unital_scale_numerators(tower)
+        if len(samples) > MAX_HOMOLOGY_RANGE:
+            raise SpecValidationError(
+                f"the joint-scale sample has {len(samples)} numerators, more than the "
+                "bound 2^16", field="$.d")
         sn, k0_desc = k0_limit(tower)
         group = h1_limit(tower)
-        md = tower.level_multiplier
-        samples = [k for k in range(-md, md + 1)
-                   if unital_joint_scale_contains(tower, LimitScaleQuery(k, 1))]
         result = {
             "mode": "stationary_matroid",
             "tower": {"m": tower.m, "d": tower.d, "s": tower.s},
@@ -252,7 +255,7 @@ def cmd_invariants(args) -> int:
             "joint_scale_sample": {
                 "description": "numerators k with 1/m (+) 1/m (+) k/(md) in the unital joint scale",
                 "t": 1,
-                "contained": samples,
+                "contained": list(samples),
             },
         }
         input_data = {"spec": args.spec, "mode": mode,

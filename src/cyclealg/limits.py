@@ -138,12 +138,17 @@ class LocalizedGroup:
         return "Z[1/(" + "*".join(str(p) for p in self.primes) + ")]"
 
 
-def enumerate_S(m, d):
-    """The d + 1 possible homology multipliers {-md, -md + 2m, .., md}."""
+def _level_multiplier(m, d) -> int:
     check_half_length(m, minimum=3)
     if not isinstance(d, int) or d < 1:
         raise InvalidIndexError(f"level multiplier d must be a positive integer, got {d}")
-    return list(range(-m * d, m * d + 1, 2 * m))
+    return m * d
+
+
+def enumerate_S(m, d):
+    """The d + 1 possible homology multipliers {-md, -md + 2m, .., md}."""
+    md = _level_multiplier(m, d)
+    return list(range(-md, md + 1, 2 * m))
 
 
 @dataclass(frozen=True)
@@ -155,10 +160,14 @@ class StationaryMatroidTower:
     s: int
 
     def __post_init__(self):
-        if self.s not in enumerate_S(self.m, self.d):
+        # s is admissible iff |s| <= md and s = md mod 2m: O(1), the d + 1
+        # admissible values are never built.
+        md = _level_multiplier(self.m, self.d)
+        s = self.s
+        if not isinstance(s, int) or abs(s) > md or (s + md) % (2 * self.m):
             raise InvalidIndexError(
-                f"s={self.s} is not in the admissible set {enumerate_S(self.m, self.d)}"
-            )
+                f"s={s} is not in the admissible set "
+                f"{{-{md} + {2 * self.m}j : j = 0, .., {self.d}}}")
 
     @property
     def level_multiplier(self) -> int:
@@ -311,6 +320,27 @@ def unital_joint_scale_contains(tower: StationaryMatroidTower,
         scaled *= s
         level += 1
     raise AssertionError("congruence search failed to reach a periodic state")
+
+
+def unital_scale_numerators(tower: StationaryMatroidTower) -> range:
+    """The numerators k with 1/m (+) 1/m (+) k/(md) in the unital joint scale.
+
+    The closed form of ``unital_joint_scale_contains`` at t = 1.  Only k = 0
+    occurs for s = 0.  Otherwise let c be the largest divisor of md coprime
+    to s: h = k/(md) lies in Z[1/s] iff c | k.  The capacity bound
+    |h * s^T| <= (md)^T then holds at every level, since |h| <= 1 and
+    |s| <= md, and as s = md mod 2 the parity condition is vacuous for even
+    md and forces k/c odd for odd md.  So the set is one progression over
+    [-md, md] of step c or 2c.
+    """
+    md = tower.level_multiplier
+    if tower.s == 0:
+        return range(0, 1)
+    c, g = md, math.gcd(md, tower.s)
+    while g != 1:
+        c //= g
+        g = math.gcd(c, g)
+    return range(-md, md + 1, c * (1 + md % 2))
 
 
 @dataclass(frozen=True)

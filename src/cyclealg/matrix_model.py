@@ -452,8 +452,8 @@ def _harness_trials(model: MatrixAlgebraModel, trials, seed, delta=0.0):
         raise InvalidIndexError(
             "the entrywise partial-isometry property fails for 4-cycle algebras; need m >= 3"
         )
-    if delta < 0:
-        raise InvalidIndexError("delta must be nonnegative")
+    if not (math.isfinite(delta) and delta >= 0):
+        raise InvalidIndexError(f"delta must be finite and nonnegative, got {delta}")
     if trials < 1:
         raise InvalidIndexError(f"trials must be at least 1, got {trials}")
     rng = np.random.default_rng(seed)
@@ -477,8 +477,8 @@ def entrywise_partial_isometry_report(model: MatrixAlgebraModel, trials=100,
     verifies it on randomly constructed instances and reports the maximum
     deviation.  Refused for m = 2, where the property fails.
     """
-    if tol <= 0:
-        raise InvalidIndexError(f"tolerance must be positive, got {tol}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise InvalidIndexError(f"tolerance must be finite and positive, got {tol}")
     max_dev, worst_trial = 0.0, None
     for t, sig, dev in _harness_trials(model, trials, seed):
         if dev > max_dev:
@@ -503,6 +503,8 @@ def perturbed_entry_report(model: MatrixAlgebraModel, delta, trials=50,
     This measures the delta-to-epsilon dependence of the approximate
     entrywise property; the harness records and never asserts a bound.
     """
+    if not math.isfinite(epsilon):
+        raise InvalidIndexError(f"epsilon must be finite, got {epsilon}")
     rows = [{"trial": t, "entry_deviation": dev}
             for t, _, dev in _harness_trials(model, trials, seed, delta)]
     max_dev = max(row["entry_deviation"] for row in rows)

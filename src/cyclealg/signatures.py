@@ -389,6 +389,8 @@ def k0h1_roundtrip_report(m, max_entry=2) -> dict:
     The pair (matrix, homology multiplier) determines the signature uniquely:
     the matrix pins the shift family and the homology value pins the shift.
     """
+    if max_entry < 1:
+        raise InvalidIndexError(f"max_entry must be at least 1, got {max_entry}")
     count, failures = 0, []
     for sig in signatures_with_entries_at_most(m, max_entry):
         count += 1

@@ -9,7 +9,12 @@ import pytest
 
 from cyclealg.cli import main, parse_tower_spec
 from cyclealg.errors import SpecValidationError
-from cyclealg.limits import StationaryMatroidTower, stationary_prefix
+from cyclealg.limits import (
+    LimitScaleQuery,
+    StationaryMatroidTower,
+    stationary_prefix,
+    unital_joint_scale_contains,
+)
 
 STATIONARY = {"schema_version": 1, "m": 3, "mode": "stationary_matroid", "d": 4, "s": 6}
 EXPLICIT = {
@@ -119,6 +124,44 @@ def test_invariants_s0(tmp_path, capsys):
     assert main(["invariants", spec, "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["result"]["h1"]["kind"] == "trivial"
+
+
+@pytest.mark.parametrize("m,d,s", [(3, 4, 6), (3, 4, 12), (3, 4, 0), (3, 5, 3), (3, 3, -9),
+                                   (4, 3, 4), (5, 7, -15), (6, 10, 36)])
+def test_invariants_sample_matches_membership_loop(tmp_path, capsys, m, d, s):
+    spec = write_spec(tmp_path, "t.json", dict(STATIONARY, m=m, d=d, s=s))
+    assert main(["invariants", spec, "--json"]) == 0
+    sample = json.loads(capsys.readouterr().out)["result"]["joint_scale_sample"]
+    t = StationaryMatroidTower(m, d, s)
+    assert sample["contained"] == [
+        k for k in range(-m * d, m * d + 1)
+        if unital_joint_scale_contains(t, LimitScaleQuery(k, 1))]
+
+
+def _run_invariants_bounded(tmp_path, d, s):
+    spec = write_spec(tmp_path, "t.json", dict(STATIONARY, d=d, s=s))
+    return subprocess.run([sys.executable, "-m", "cyclealg", "invariants", spec, "--json"],
+                          capture_output=True, text=True, timeout=10,
+                          preexec_fn=_limit_address_space,
+                          env=dict(os.environ, OPENBLAS_NUM_THREADS="1"))
+
+
+def test_invariants_large_d_in_bounded_memory(tmp_path):
+    c = 10 ** 9 + 1  # md = 3c, s = 3: c is the part of md coprime to s
+    proc = _run_invariants_bounded(tmp_path, c, 3)
+    assert proc.returncode == 0, proc.stderr
+    sample = json.loads(proc.stdout)["result"]["joint_scale_sample"]
+    assert sample["contained"] == [-3 * c, -c, c, 3 * c]
+
+
+@pytest.mark.parametrize("d,s,field", [
+    (10 ** 9, 30, "$.d"),  # admissible, but the sample has 6 * 10^9 + 1 numerators
+    (10 ** 9, 3, "$.s"),   # md is even, so odd s is inadmissible
+])
+def test_invariants_large_d_refused_in_bounded_memory(tmp_path, d, s, field):
+    proc = _run_invariants_bounded(tmp_path, d, s)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(f"error ({field}): ") and proc.stdout == ""
 
 
 def test_invariants_explicit(tmp_path, capsys):
@@ -280,6 +323,25 @@ def test_verify_refuses_trials_below_one(capsys, target, trials):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "trials" in captured.err
+
+
+@pytest.mark.parametrize("flag,target,name", [
+    ("--delta", "lemma31", "delta"), ("--epsilon", "lemma31", "epsilon"),
+    ("--tol", "lemma22", "tolerance")])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_verify_refuses_non_finite_floats(capsys, flag, target, name, value):
+    assert main(["verify", target, "--m", "3", "--trials", "1", f"{flag}={value}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {name} must be finite")
+
+
+@pytest.mark.parametrize("max_entry", ["0", "-1"])
+def test_verify_roundtrip_refuses_empty_runs(capsys, max_entry):
+    assert main(["verify", "lemma42-roundtrip", "--m", "3", "--max-entry", max_entry]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "max_entry" in captured.err
 
 
 def test_cli_subprocess_determinism(tmp_path):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from conftest import (
     brute_scale_contains,
     unital_h1_contains_split,
@@ -32,6 +34,7 @@ from cyclealg.limits import (
     prime_factors,
     stationary_prefix,
     unital_joint_scale_contains,
+    unital_scale_numerators,
 )
 from cyclealg.signatures import (
     CycleAlgebraShape,
@@ -79,8 +82,12 @@ def test_enumerate_S():
 
 
 def test_tower_validation_and_constant_signature():
-    with pytest.raises(InvalidIndexError):
+    with pytest.raises(InvalidIndexError, match=r"\{-6 \+ 6j : j = 0, \.\., 2\}"):
         tower(3, 2, 3)
+    with pytest.raises(InvalidIndexError):
+        tower(3, 2, 12)
+    with pytest.raises(InvalidIndexError):
+        tower(3, 2, 6.0)
     with pytest.raises(InvalidIndexError):
         tower(2, 1, 2)
     t = tower(3, 4, 6)
@@ -144,6 +151,46 @@ def test_scale_membership_s0():
     t = tower(3, 4, 0)
     assert unital_joint_scale_contains(t, LimitScaleQuery(0, 1))
     assert not unital_joint_scale_contains(t, LimitScaleQuery(1, 1))
+
+
+def test_admissible_s_is_decided_without_enumeration():
+    # the admissible set of d = 10^9 has 10^9 + 1 members; deciding s never builds it
+    for m, d in ((3, 10 ** 9), (4, 10 ** 30), (5, 10 ** 9 + 1)):
+        md = m * d
+        for s in (-md, -md + 2 * m, md - 2 * m, md):
+            assert tower(m, d, s).s == s
+        for s in (-md - 2 * m, -md + m, md - 1, md + 2 * m):
+            with pytest.raises(InvalidIndexError):
+                tower(m, d, s)
+
+
+def _membership_loop(t):
+    md = t.level_multiplier
+    return [k for k in range(-md, md + 1)
+            if unital_joint_scale_contains(t, LimitScaleQuery(k, 1))]
+
+
+def test_unital_scale_numerators_match_membership_exhaustive():
+    for m in range(3, 7):
+        for d in range(1, 25):
+            for s in enumerate_S(m, d):
+                t = tower(m, d, s)
+                assert list(unital_scale_numerators(t)) == _membership_loop(t), (m, d, s)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(3, 6),
+       st.one_of(st.integers(1, 10 ** 12),
+                 st.builds(lambda a, b, c: 2 ** a * 3 ** b * 5 ** c,
+                           st.integers(0, 12), st.integers(0, 8), st.integers(0, 6))),
+       st.data())
+def test_unital_scale_numerators_match_membership_large_d(m, d, data):
+    md = m * d
+    t = tower(m, d, -md + 2 * m * data.draw(st.integers(0, d)))
+    numerators = unital_scale_numerators(t)
+    k = data.draw(st.one_of(st.integers(-md, md),
+                            st.integers(0, len(numerators) - 1).map(numerators.__getitem__)))
+    assert (k in numerators) == bool(unital_joint_scale_contains(t, LimitScaleQuery(k, 1)))
 
 
 def test_scale_certificates_are_realizing_levels():
