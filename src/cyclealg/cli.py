@@ -1,6 +1,6 @@
 """Command-line surface: tower specs, invariant reports, comparison, verification.
 
-Tower specs are JSON files:
+Tower specs are JSON files (spec schema 1):
 
     {"schema_version": 1, "m": 3, "mode": "stationary_matroid", "d": 4, "s": 6}
 
@@ -9,10 +9,10 @@ Tower specs are JSON files:
      "embeddings": [[1, 1, 0, 0, 0, 0]]}
 
 Exit codes: 0 success (or "isomorphic" for compare), 2 parse/validation
-error or refusal, 3 assertion failure or "not isomorphic".  Reports go to
-stdout (human-readable text by default, ``--json`` for the structured
-record), diagnostics to stderr.  Output is byte-identical for identical
-inputs, flags and seed.
+error or refusal, 3 assertion failure or "not isomorphic".  Reports (report
+schema 2) go to stdout (human-readable text by default, ``--json`` for the
+structured record), diagnostics to stderr.  Output is byte-identical for
+identical inputs, flags and seed.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .errors import (
     CycleAlgebraError,
     EnumerationBoundError,
     InvalidIndexError,
-    InvalidTowerError,
     SpecValidationError,
 )
 from .limits import (
@@ -40,6 +39,8 @@ from .limits import (
     is_extreme,
     is_homologically_limited,
     k0_limit,
+    prime_factors,
+    progression,
     unital_scale_numerators,
 )
 from .matrix_model import (
@@ -50,7 +51,6 @@ from .matrix_model import (
     perturbed_entry_report,
 )
 from .signatures import (
-    MAX_HOMOLOGY_RANGE,
     CycleAlgebraShape,
     Signature,
     h1,
@@ -61,7 +61,15 @@ from .signatures import (
     signature_from_k0h1,
 )
 
-SCHEMA_VERSION = 1
+#: Version of the report format; homology sets are {lo, hi, step} objects.
+SCHEMA_VERSION = 2
+#: Version of the tower-spec format, versioned apart from the reports.
+SPEC_SCHEMA_VERSION = 1
+
+#: Largest joint-scale sample of a stationary report, which lists its numerators.
+MAX_SAMPLE_NUMERATORS = 2 ** 16
+#: Largest matrix-model dimension N = sum of dims that ``verify`` builds.
+MAX_MODEL_DIMENSION = 1024
 
 EXIT_OK = 0
 EXIT_ERROR = 2
@@ -85,8 +93,8 @@ def _is_int(x) -> bool:
 def parse_tower_spec(data) -> tuple:
     """Validate a decoded tower spec; returns ("stationary"|"explicit", tower)."""
     _expect(isinstance(data, dict), "spec must be a JSON object", "$")
-    _expect(data.get("schema_version") == SCHEMA_VERSION,
-            f"schema_version must be {SCHEMA_VERSION}", "$.schema_version")
+    _expect(data.get("schema_version") == SPEC_SCHEMA_VERSION,
+            f"schema_version must be {SPEC_SCHEMA_VERSION}", "$.schema_version")
     m = data.get("m")
     _expect(_is_int(m) and m >= 3, "m must be an integer >= 3", "$.m")
     mode = data.get("mode")
@@ -99,9 +107,16 @@ def parse_tower_spec(data) -> tuple:
         s = data.get("s")
         _expect(_is_int(s), "s must be an integer", "$.s")
         try:
-            return "stationary", StationaryMatroidTower(m, d, s)
+            tower = StationaryMatroidTower(m, d, s)
         except InvalidIndexError as exc:
             raise SpecValidationError(str(exc), field="$.s") from exc
+        # The limit invariants factor md and |s|; refuse a factor out of reach here.
+        for value, field in ((tower.level_multiplier, "$.d"), (abs(s), "$.s")):
+            try:
+                prime_factors(value or 1)
+            except EnumerationBoundError as exc:
+                raise SpecValidationError(str(exc), field=field) from exc
+        return "stationary", tower
 
     shapes_raw = data.get("shapes")
     _expect(isinstance(shapes_raw, list) and shapes_raw, "shapes must be a nonempty list",
@@ -141,7 +156,7 @@ def load_tower_spec(path) -> tuple:
             data = json.load(fh)
     except OSError as exc:
         raise SpecValidationError(f"cannot read {path}: {exc}", field="$") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON, or an integer past the digit limit
         raise SpecValidationError(f"invalid JSON in {path}: {exc}", field="$") from exc
     return parse_tower_spec(data)
 
@@ -161,12 +176,19 @@ def _report(command, input_data, result) -> dict:
 
 
 def _emit(report, as_json) -> None:
-    if as_json:
-        print(json.dumps(report, sort_keys=True, indent=2))
-        return
-    print(f"cyclealg {__version__} :: {report['command']}")
-    print(f"input: {json.dumps(report['input'], sort_keys=True)}")
-    _emit_plain(report["result"], indent="  ")
+    # A level's element_count can have more digits than the int-to-str limit
+    # that guards parsing, so the limit is lifted for the output only.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        if as_json:
+            print(json.dumps(report, sort_keys=True, indent=2))
+            return
+        print(f"cyclealg {__version__} :: {report['command']}")
+        print(f"input: {json.dumps(report['input'], sort_keys=True)}")
+        _emit_plain(report["result"], indent="  ")
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _emit_plain(value, indent="") -> None:
@@ -223,6 +245,11 @@ def _parse_dims(text, m) -> tuple:
         values = [int(x) for x in parts]
     except ValueError as exc:
         raise SpecValidationError(f"malformed dims {text!r}", field="dims") from exc
+    dimension = values[0] * 2 * m if len(values) == 1 else sum(values)
+    if dimension > MAX_MODEL_DIMENSION:
+        raise SpecValidationError(
+            f"model dimension {dimension} (the sum of dims) exceeds the bound "
+            f"{MAX_MODEL_DIMENSION}", field="dims")
     if len(values) == 1:
         values = values * (2 * m)
     if len(values) != 2 * m:
@@ -238,7 +265,7 @@ def cmd_invariants(args) -> int:
     mode, tower = load_tower_spec(args.spec)
     if mode == "stationary":
         samples = unital_scale_numerators(tower)
-        if len(samples) > MAX_HOMOLOGY_RANGE:
+        if len(samples) > MAX_SAMPLE_NUMERATORS:
             raise SpecValidationError(
                 f"the joint-scale sample has {len(samples)} numerators, more than the "
                 "bound 2^16", field="$.d")
@@ -261,11 +288,7 @@ def cmd_invariants(args) -> int:
         input_data = {"spec": args.spec, "mode": mode,
                       "tower": {"m": tower.m, "d": tower.d, "s": tower.s}}
     else:
-        try:
-            levels = finite_level_invariants(tower)
-        except InvalidTowerError as exc:
-            raise SpecValidationError(str(exc), field="$.embeddings") from exc
-        result = {"mode": "explicit", "levels": levels,
+        result = {"mode": "explicit", "levels": finite_level_invariants(tower),
                   "note": "finite prefix: no limit verdict is attached"}
         input_data = {"spec": args.spec, "mode": mode,
                       "shapes": [list(s.vertex_mults) for s in tower.shapes],
@@ -301,11 +324,8 @@ def cmd_signature(args) -> int:
         exit_code = EXIT_OK
     elif args.operation == "homrange":
         sig = _parse_signature(args.args[0])
-        try:
-            values = list(homology_range(sig))
-        except EnumerationBoundError as exc:
-            raise SpecValidationError(str(exc), field="signature") from exc
-        result = {"signature": list(sig.r), "h1": h1(sig), "homology_range": values}
+        result = {"signature": list(sig.r), "h1": h1(sig),
+                  "homology_range": progression(homology_range(sig))}
         exit_code = EXIT_OK
     else:  # fromk0h1
         if args.m is None or args.k0 is None or args.h is None:
@@ -318,8 +338,6 @@ def cmd_signature(args) -> int:
             result = {"realizable": True, "signature": list(sig.r),
                       "k0_matrix": k0_matrix(sig), "h1": h1(sig)}
             exit_code = EXIT_OK
-        except EnumerationBoundError as exc:
-            raise SpecValidationError(str(exc), field="k0") from exc
         except CycleAlgebraError as exc:
             result = {"realizable": False, "reason": str(exc),
                       "kind": type(exc).__name__}

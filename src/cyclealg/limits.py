@@ -29,11 +29,11 @@ from fractions import Fraction
 from .cycle_core import check_half_length
 from .errors import (
     CrossCycleLengthError,
+    EnumerationBoundError,
     InvalidIndexError,
     InvalidTowerError,
 )
 from .signatures import (
-    MAX_HOMOLOGY_RANGE,
     CycleAlgebraShape,
     Signature,
     h1,
@@ -44,23 +44,31 @@ from .signatures import (
 
 INF = math.inf
 
-#: Largest level size whose unital scale is reported; it bounds the emitted
-#: ``h_values`` list, which has n + 1 entries at a uniform level of size n.
-UNITAL_SCALE_BOUND = 64
+#: Largest trial divisor of ``prime_factors``.
+TRIAL_DIVISION_BOUND = 2 ** 20
 
 
 def prime_factors(n) -> dict:
-    """Prime factorization of a positive integer as {prime: exponent}."""
+    """Prime factorization of a positive integer as {prime: exponent}.
+
+    Trial division stops at B = ``TRIAL_DIVISION_BOUND``.  A cofactor left
+    with no prime factor up to B is prime if it is below (B + 1)^2, and
+    raises ``EnumerationBoundError`` otherwise, so every n <= B^2 is factored.
+    """
     n = int(n)
     if n < 1:
         raise InvalidIndexError(f"prime factorization needs a positive integer, got {n}")
     out = {}
     p = 2
-    while p * p <= n:
+    while p * p <= n and p <= TRIAL_DIVISION_BOUND:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
         p += 1 if p == 2 else 2
+    if n >= p * p:
+        raise EnumerationBoundError(
+            f"the cofactor {n} has no prime factor up to 2^20 and exceeds 2^40, "
+            "so it cannot be factored by trial division")
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
@@ -475,25 +483,11 @@ def check_capacity(tower: ExplicitTower) -> None:
                 level=i + 2)
 
 
-def _bounded_composites(tower: ExplicitTower) -> list:
-    """Composite signature from level 1 to every level (None at level 1).
-
-    Refuses a composite whose homology range is longer than
-    ``MAX_HOMOLOGY_RANGE``.  Totals need no bound: after ``check_capacity``
-    every composite total is at most the smallest multiplicity of its level.
-    """
-    composites = [None]
-    for level, step in enumerate(tower.embeddings, start=2):
-        prev = composites[-1]
-        composite = step if prev is None else signature_compose(prev, step)
-        range_len = min(composite.r[0::2]) + min(composite.r[1::2]) + 1
-        if range_len > MAX_HOMOLOGY_RANGE:
-            raise InvalidTowerError(
-                f"composite signature into level {level} has a homology range of "
-                f"{range_len} values, more than the bound 2^16",
-                level=level)
-        composites.append(composite)
-    return composites
+def progression(values: range) -> dict:
+    """A range as {"lo", "hi", "step"}, hi its last member, or {} when it is empty."""
+    if not values:
+        return {}
+    return {"lo": values[0], "hi": values[-1], "step": values.step}
 
 
 def _unital_scale(shape: CycleAlgebraShape) -> dict:
@@ -504,40 +498,31 @@ def _unital_scale(shape: CycleAlgebraShape) -> dict:
     injective, so the scale has C(n + 2m - 1, 2m - 1) elements with h over
     {-n, -n + 2, .., n}.  A non-uniform level admits no unital embedding.
     """
-    n = min(shape.vertex_mults)
-    if n > UNITAL_SCALE_BOUND:
-        return {"skipped": "enumeration bound"}
+    n = shape.vertex_mults[0]
     if len(set(shape.vertex_mults)) != 1:
-        return {"element_count": 0, "h_values": []}
+        return {"element_count": 0, "h_values": progression(range(0))}
     return {"element_count": math.comb(n + 2 * shape.m - 1, 2 * shape.m - 1),
-            "h_values": list(range(-n, n + 1, 2))}
+            "h_values": progression(range(-n, n + 1, 2))}
 
 
 def finite_level_invariants(tower: ExplicitTower) -> list:
     """Per-level invariants of an explicit tower prefix.
 
-    Checks capacity (``check_capacity``) and the composite bounds first, so a
-    refused tower materializes nothing, then reports per level the composed
-    signature from level 1, its matrix and homology data, and the unital
-    joint scale of the level algebra (skipped for levels larger than
-    ``UNITAL_SCALE_BOUND``).  No limit verdict is attached: the input is a
-    finite prefix.
+    Checks capacity (``check_capacity``) first, then reports per level the
+    composed signature from level 1, its matrix and homology data, and the
+    unital joint scale of the level algebra.  No limit verdict is attached:
+    the input is a finite prefix.
     """
     check_capacity(tower)
-    composites = _bounded_composites(tower)
-    reports = []
-    for level, (shape, composite) in enumerate(zip(tower.shapes, composites), start=1):
-        entry = {
-            "level": level,
-            "vertex_mults": list(shape.vertex_mults),
-        }
-        if composite is None:
-            entry["composite_signature"] = None
-        else:
-            entry["composite_signature"] = list(composite.r)
-            entry["k0_matrix"] = k0_matrix(composite)
-            entry["h1"] = h1(composite)
-            entry["homology_range"] = list(homology_range(composite))
+    reports, composite = [], None
+    for level, shape in enumerate(tower.shapes, start=1):
+        entry = {"level": level, "vertex_mults": list(shape.vertex_mults),
+                 "composite_signature": None}
+        if level > 1:
+            step = tower.embeddings[level - 2]
+            composite = step if composite is None else signature_compose(composite, step)
+            entry.update(composite_signature=list(composite.r), k0_matrix=k0_matrix(composite),
+                         h1=h1(composite), homology_range=progression(homology_range(composite)))
         entry["unital_scale"] = _unital_scale(shape)
         reports.append(entry)
     return reports

@@ -43,9 +43,6 @@ from .errors import (
 #: Default ceiling on exact joint-scale enumerations (total multiplicity).
 DEFAULT_ENUMERATION_BOUND = 64
 
-#: Largest homology range, and so largest fibre, that is listed.
-MAX_HOMOLOGY_RANGE = 2 ** 16
-
 
 @dataclass(frozen=True)
 class Signature:
@@ -199,21 +196,13 @@ def _shift(r, k) -> tuple:
     return tuple(x + k if i % 2 == 0 else x - k for i, x in enumerate(r))
 
 
-def _check_range_length(size):
-    if size > MAX_HOMOLOGY_RANGE:
-        raise EnumerationBoundError(
-            f"a homology range of {size} values exceeds the bound 2^16")
-
-
 def k0_is_rigid_type(mat) -> list:
     """All signatures with the given vertex-multiplicity matrix (empty if none).
 
     A matrix is of rigid type exactly when this fibre is nonempty.  The fibre
-    is the shift family of ``_shift_family``, listed in increasing r_1;
-    families longer than ``MAX_HOMOLOGY_RANGE`` raise ``EnumerationBoundError``.
+    is the shift family of ``_shift_family``, listed in increasing r_1.
     """
     base, size = _shift_family(mat)
-    _check_range_length(size)
     return [Signature(base.m, _shift(base.r, k)) for k in range(size)]
 
 
@@ -224,33 +213,28 @@ def signature_from_k0h1(mat, h: int) -> Signature:
     ``HomologyRangeError`` when the matrix is realizable but h is not.  The
     shift by k moves h1 by 2m * k, so the member is picked directly.
     """
-    fibre = k0_is_rigid_type(mat)
-    if not fibre:
+    base, size = _shift_family(mat)
+    if base is None:
         raise K0NotRigidTypeError("matrix is not a sum of automorphism permutation matrices")
-    base = fibre[0]
-    k, rem = divmod(h - h1(base), 2 * base.m)
-    if rem == 0 and 0 <= k < len(fibre):
-        return fibre[k]
-    values = [h1(sig) for sig in fibre]
+    lo, step = h1(base), 2 * base.m
+    k, rem = divmod(h - lo, step)
+    if rem == 0 and 0 <= k < size:
+        return Signature(base.m, _shift(base.r, k))
     raise HomologyRangeError(
-        f"homology value {h} is outside the homology range {values} of this matrix"
-    )
+        f"homology value {h} is outside the homology range "
+        f"{{{lo} + {step}k : k = 0, .., {size - 1}}} of this matrix")
 
 
-def homology_range(sig: Signature) -> tuple:
+def homology_range(sig: Signature) -> range:
     """All homology multipliers over the fibre of the signature's matrix.
 
     The fibre is the shift family (r_1 + k, r_2 - k, ..) with k bounded by
     the smallest rotation and reflection entries, so the range is the
     arithmetic progression h1(sig) + 2m * k, an interval in the mod-2m
-    congruence class of h1(sig).  Ranges longer than ``MAX_HOMOLOGY_RANGE``
-    raise ``EnumerationBoundError``.
+    congruence class of h1(sig).
     """
-    rot_min = min(sig.r[0::2])
-    refl_min = min(sig.r[1::2])
-    _check_range_length(rot_min + refl_min + 1)
-    base = h1(sig)
-    return tuple(base + 2 * sig.m * k for k in range(-rot_min, refl_min + 1))
+    base, step = h1(sig), 2 * sig.m
+    return range(base - step * min(sig.r[0::2]), base + step * min(sig.r[1::2]) + 1, step)
 
 
 @dataclass(frozen=True)

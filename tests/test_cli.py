@@ -1,9 +1,9 @@
 import json
+import math
 import os
 import resource
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -15,6 +15,7 @@ from cyclealg.limits import (
     stationary_prefix,
     unital_joint_scale_contains,
 )
+from cyclealg.signatures import h1, k0_is_rigid_type, k0_matrix, signatures_with_entries_at_most
 
 STATIONARY = {"schema_version": 1, "m": 3, "mode": "stationary_matroid", "d": 4, "s": 6}
 EXPLICIT = {
@@ -91,20 +92,29 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
+def run_bounded(*argv, timeout=5):
+    """The CLI in a subprocess under a 1 GiB address space and a timeout."""
+    return subprocess.run([sys.executable, "-m", "cyclealg", *argv],
+                          capture_output=True, text=True, timeout=timeout,
+                          preexec_fn=_limit_address_space,
+                          env=dict(os.environ, OPENBLAS_NUM_THREADS="1"))
+
+
 @pytest.mark.parametrize("levels", [8, 16])
 def test_unbounded_report_refused_in_bounded_memory(tmp_path, levels):
+    # level L of the (3, 10, 30) prefix holds 30^(L-1) per vertex: 30^(L-1) / 3 + 1 range values
     prefix = stationary_prefix(StationaryMatroidTower(3, 10, 30), levels)
     spec = write_spec(tmp_path, "t.json", {
         "schema_version": 1, "m": 3, "mode": "explicit",
         "shapes": [list(s.vertex_mults) for s in prefix.shapes],
         "embeddings": [list(e.r) for e in prefix.embeddings]})
-    proc = subprocess.run([sys.executable, "-m", "cyclealg", "invariants", spec, "--json"],
-                          capture_output=True, text=True, timeout=5,
-                          preexec_fn=_limit_address_space,
-                          env=dict(os.environ, OPENBLAS_NUM_THREADS="1"))
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.startswith("error ($.embeddings): ")
-    assert "level 5" in proc.stderr and proc.stdout == ""
+    proc = run_bounded("invariants", spec, "--json")
+    assert proc.returncode == 0, proc.stderr
+    top = json.loads(proc.stdout)["result"]["levels"][-1]
+    n = 30 ** (levels - 1)
+    assert top["homology_range"] == {"lo": -n, "hi": n, "step": 6}
+    assert top["unital_scale"] == {"element_count": math.comb(n + 5, 5),
+                                   "h_values": {"lo": -n, "hi": n, "step": 2}}
 
 
 # -- commands and exit codes ----------------------------------------------------
@@ -113,6 +123,7 @@ def test_invariants_stationary(tmp_path, capsys):
     spec = write_spec(tmp_path, "t.json", STATIONARY)
     assert main(["invariants", spec, "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
+    assert report["schema_version"] == 2
     assert report["result"]["k0"]["supernatural"] == {"2": "inf", "3": "inf"}
     assert report["result"]["h1"]["display"] == "Z[1/(2*3)]"
     assert report["result"]["extreme"] is False
@@ -140,10 +151,7 @@ def test_invariants_sample_matches_membership_loop(tmp_path, capsys, m, d, s):
 
 def _run_invariants_bounded(tmp_path, d, s):
     spec = write_spec(tmp_path, "t.json", dict(STATIONARY, d=d, s=s))
-    return subprocess.run([sys.executable, "-m", "cyclealg", "invariants", spec, "--json"],
-                          capture_output=True, text=True, timeout=10,
-                          preexec_fn=_limit_address_space,
-                          env=dict(os.environ, OPENBLAS_NUM_THREADS="1"))
+    return run_bounded("invariants", spec, "--json", timeout=10)
 
 
 def test_invariants_large_d_in_bounded_memory(tmp_path):
@@ -162,6 +170,60 @@ def test_invariants_large_d_refused_in_bounded_memory(tmp_path, d, s, field):
     proc = _run_invariants_bounded(tmp_path, d, s)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith(f"error ({field}): ") and proc.stdout == ""
+
+
+@pytest.mark.parametrize("command", ["invariants", "compare"])
+def test_unfactorable_d_refused_in_bounded_time(tmp_path, command):
+    # md = 3 * (10^18 + 3), a prime cofactor past the reach of trial division up to 2^20
+    spec = write_spec(tmp_path, "t.json", dict(STATIONARY, d=10 ** 18 + 3, s=3))
+    proc = run_bounded(command, *[spec] * (1 if command == "invariants" else 2))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error ($.d): ") and proc.stdout == ""
+
+
+def test_unfactorable_s_refused_in_bounded_time(tmp_path):
+    p = 10 ** 18 + 3  # prime; md = 3^39 >= 3p, and both are odd multiples of 3
+    spec = write_spec(tmp_path, "t.json", dict(STATIONARY, d=3 ** 38, s=3 * p))
+    proc = run_bounded("invariants", spec)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error ($.s): ") and proc.stdout == ""
+
+
+def test_large_prime_d_answered(tmp_path, capsys):
+    p = 2 ** 40 - 87  # the largest prime below 2^40
+    spec = write_spec(tmp_path, "t.json", dict(STATIONARY, d=p, s=3))
+    assert main(["invariants", spec, "--json"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["k0"]["supernatural"] == {"3": "inf", str(p): "inf"}
+    assert result["h1"]["primes"] == [3]
+
+
+def test_element_count_beyond_the_digit_limit_reported(tmp_path, capsys):
+    # C(n + 5, 5) for n = 10^1000 has about 5000 digits, past Python's default 4300
+    n = 10 ** 1000
+    spec = write_spec(tmp_path, "t.json", {"schema_version": 1, "m": 3, "mode": "explicit",
+                                          "shapes": [[n] * 6], "embeddings": []})
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        count = str(math.comb(n + 5, 5))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(count) > limit
+    for flags, line in ((["--json"], f'"element_count": {count},'),
+                        ([], f"element_count: {count}")):
+        assert main(["invariants", spec, *flags]) == 0
+        assert line in [x.strip() for x in capsys.readouterr().out.splitlines()]
+    assert sys.get_int_max_str_digits() == limit  # lifted for the report only
+
+
+def test_spec_integer_past_the_digit_limit_refused(tmp_path, capsys):
+    path = tmp_path / "t.json"
+    path.write_text('{"schema_version": 1, "m": 3, "mode": "stationary_matroid", '
+                    f'"d": 1{"0" * 5000}, "s": 0}}', encoding="utf-8")
+    assert main(["invariants", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error ($): invalid JSON")
 
 
 def test_invariants_explicit(tmp_path, capsys):
@@ -222,7 +284,18 @@ def test_signature_compose(capsys):
 def test_signature_homrange(capsys):
     assert main(["signature", "homrange", "1,1,1,1,1,1", "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["result"]["homology_range"] == [-6, 0, 6]
+    assert report["schema_version"] == 2
+    assert report["result"]["homology_range"] == {"lo": -6, "hi": 6, "step": 6}
+
+
+def test_signature_homrange_matches_fibre_exhaustive(capsys):
+    # every m = 3 signature with entries <= 2 (including zero), against its listed fibre
+    for sig in signatures_with_entries_at_most(3, 2):
+        assert main(["signature", "homrange", ",".join(map(str, sig.r)), "--json"]) == 0
+        got = json.loads(capsys.readouterr().out)["result"]["homology_range"]
+        values = [h1(member) for member in k0_is_rigid_type(k0_matrix(sig))]
+        assert values == sorted(values)
+        assert got == {"lo": values[0], "hi": values[-1], "step": 6}, sig.r
 
 
 def test_signature_fromk0h1(capsys):
@@ -253,6 +326,13 @@ def test_signature_fromk0h1_beyond_int64(capsys):
     assert result["signature"] == [big, 0, 0, 0, 0, 0]
 
 
+#: Per input field holding a fibre of billions of members: the result key and its answer.
+LONG_RANGE_ANSWERS = {
+    "signature": ("homology_range", {"lo": -9 * 10 ** 9, "hi": 9 * 10 ** 9, "step": 6}),
+    "k0": ("signature", [2 ** 24] * 6),
+}
+
+
 @pytest.mark.parametrize("argv,field", [
     (["homrange", "3000000000,0,3000000000,0,3000000000,0"], "signature"),
     (["fromk0h1", "--m", "3", "--k0", _rows([[2 ** 25 if i // 3 == j // 3 else 0
@@ -260,18 +340,18 @@ def test_signature_fromk0h1_beyond_int64(capsys):
       "--h", "0"], "k0"),
 ])
 def test_long_homology_range_refused_in_bounded_memory(argv, field):
-    proc = subprocess.run([sys.executable, "-m", "cyclealg", "signature", *argv, "--json"],
-                          capture_output=True, text=True, timeout=5,
-                          preexec_fn=_limit_address_space,
-                          env=dict(os.environ, OPENBLAS_NUM_THREADS="1"))
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.startswith(f"error ({field}): ") and proc.stdout == ""
+    proc = run_bounded("signature", *argv, "--json")
+    assert proc.returncode == 0, proc.stderr
+    key, answer = LONG_RANGE_ANSWERS[field]
+    assert json.loads(proc.stdout)["result"][key] == answer
 
 
 def test_homology_range_of_2_16_values_answered(capsys):
     n = 2 ** 16 - 1
     assert main(["signature", "homrange", f"{n},0,{n},0,{n},0", "--json"]) == 0
-    assert len(json.loads(capsys.readouterr().out)["result"]["homology_range"]) == 2 ** 16
+    got = json.loads(capsys.readouterr().out)["result"]["homology_range"]
+    assert got == {"lo": -3 * n, "hi": 3 * n, "step": 6}
+    assert (got["hi"] - got["lo"]) // got["step"] + 1 == 2 ** 16
     rows = _rows([[n if i // 3 == j // 3 else 0 for j in range(6)] for i in range(6)])
     assert main(["signature", "fromk0h1", "--m", "3", "--k0", rows, "--h", str(3 * n),
                  "--json"]) == 0
@@ -314,6 +394,24 @@ def test_verify_targets(capsys):
 def test_verify_refuses_four_cycle(capsys):
     assert main(["verify", "lemma22", "--m", "2", "--trials", "1"]) == 2
     assert main(["verify", "lemma31", "--m", "2", "--trials", "1"]) == 2
+
+
+def test_verify_refuses_large_model_in_bounded_memory():
+    # N = 6 * 20000: the dense model would need hundreds of GiB
+    proc = run_bounded("verify", "lemma22", "--dims", "20000", "--trials", "1")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error (dims): ") and proc.stdout == ""
+
+
+@pytest.mark.parametrize("target", ["lemma22", "lemma31"])
+@pytest.mark.parametrize("dims,code", [("128", 0), ("129", 2),
+                                       (",".join(["128"] * 7 + ["129"]), 2)])
+def test_verify_model_dimension_bound(capsys, target, dims, code):
+    # at m = 4, dims 128 gives N = 1024, the largest model built
+    assert main(["verify", target, "--m", "4", "--dims", dims, "--trials", "1"]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.out == "" and captured.err.startswith("error (dims): ")
 
 
 @pytest.mark.parametrize("target", ["lemma22", "lemma31"])
@@ -360,22 +458,6 @@ def test_cli_subprocess_determinism(tmp_path):
         second = run_cli(*cmd)
         assert first == second
         assert first[0] == 0
-
-
-def test_family_report_script_smoke():
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, str(root / "scripts" / "run_family_report.py"),
-                           "--max-d", "3", "--json"], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout)
-    assert len(report["towers"]) == 9
-    matrix = report["verdict_matrix"]
-    assert len(matrix) == 9 and all(len(row) == 9 for row in matrix)
-    for i, row in enumerate(matrix):
-        assert row[i] == "="
-        assert all(row[j] == matrix[j][i] for j in range(9))
 
 
 def test_version_and_usage_exit_codes(capsys):

@@ -13,6 +13,7 @@ from conftest import (
 
 from cyclealg.errors import (
     CrossCycleLengthError,
+    EnumerationBoundError,
     InvalidIndexError,
     InvalidTowerError,
 )
@@ -32,6 +33,7 @@ from cyclealg.limits import (
     is_homologically_limited,
     k0_limit,
     prime_factors,
+    progression,
     stationary_prefix,
     unital_joint_scale_contains,
     unital_scale_numerators,
@@ -57,6 +59,20 @@ def test_prime_factors():
     assert prime_factors(12) == {2: 2, 3: 1}
     assert prime_factors(1) == {}
     assert prime_factors(30) == {2: 1, 3: 1, 5: 1}
+
+
+def test_prime_factors_bounded_trial_division():
+    below, above = 2 ** 20 - 3, 2 ** 20 + 7  # the primes next to the trial bound 2^20
+    big = 2 ** 40 - 87  # the largest prime below 2^40
+    assert prime_factors(below ** 2) == {below: 2}
+    assert prime_factors(3 * big) == {3: 1, big: 1}
+    assert prime_factors(2 ** 64 * above) == {2: 64, above: 1}
+    for n in (above ** 2, 10 ** 18 + 3, 3 * (10 ** 18 + 3)):
+        with pytest.raises(EnumerationBoundError, match="no prime factor up to 2"):
+            prime_factors(n)
+    assert SupernaturalNumber(((big, 1),)).primes == (big,)
+    with pytest.raises(EnumerationBoundError):
+        SupernaturalNumber(((10 ** 18 + 3, 1),))
 
 
 def test_supernatural_numbers():
@@ -367,34 +383,62 @@ def test_explicit_tower_validation():
                       (Signature.zero(3),))
 
 
+def _as_progression(values):
+    """{lo, hi, step} of a sorted list that must be an arithmetic progression."""
+    if not values:
+        return {}
+    step = values[1] - values[0] if len(values) > 1 else 1
+    assert values == list(range(values[0], values[-1] + 1, step))
+    return {"lo": values[0], "hi": values[-1], "step": step}
+
+
+def _reported_scale(shape):
+    return finite_level_invariants(ExplicitTower((shape,), ()))[0]["unital_scale"]
+
+
+def _split_scale(m, n):
+    """Unital scale of a uniform level by the rotation/reflection split (conftest).
+
+    The count is the number of signatures of total n, by a running sum over
+    the 2m classes; the homology values are those the split admits.
+    """
+    counts = [1] + [0] * n  # signatures over the classes so far, by total
+    for _ in range(2 * m):
+        counts = list(itertools.accumulate(counts))
+    return {"element_count": counts[n],
+            "h_values": _as_progression([k for k in range(-n, n + 1)
+                                         if unital_h1_contains_split(k, n)])}
+
+
 def test_unital_scale_reported_per_level():
     t = tower(3, 1, 3)
     levels = finite_level_invariants(stationary_prefix(t, 3))
-    assert levels[0]["unital_scale"]["h_values"] == [-1, 1]
-    assert levels[1]["unital_scale"]["h_values"] == [-3, -1, 1, 3]
-    big = ExplicitTower((CycleAlgebraShape.uniform(3, 100),), ())
-    assert finite_level_invariants(big)[0]["unital_scale"] == {"skipped": "enumeration bound"}
+    assert levels[0]["unital_scale"]["h_values"] == {"lo": -1, "hi": 1, "step": 2}
+    assert levels[1]["unital_scale"]["h_values"] == {"lo": -3, "hi": 3, "step": 2}
+    assert levels[2]["unital_scale"] == _split_scale(3, 9)
+    assert _reported_scale(CycleAlgebraShape.uniform(3, 100)) == _split_scale(3, 100) == {
+        "element_count": math.comb(105, 5), "h_values": {"lo": -100, "hi": 100, "step": 2}}
 
 
 @pytest.mark.parametrize("m,top", [(3, 24), (4, 10), (5, 6), (6, 4)])
 def test_unital_scale_closed_form_matches_enumeration(m, top):
-    def reported(shape):
-        return finite_level_invariants(ExplicitTower((shape,), ()))[0]["unital_scale"]
-
     def enumerated(shape):
         scale = joint_scale_finite(shape, unital_only=True)
-        return {"element_count": len(scale), "h_values": sorted({e.h_part for e in scale})}
+        return {"element_count": len(scale),
+                "h_values": _as_progression(sorted({e.h_part for e in scale}))}
 
     for n in range(1, top + 1):
         shape = CycleAlgebraShape.uniform(m, n)
-        assert reported(shape) == enumerated(shape), (m, n)
+        assert _reported_scale(shape) == enumerated(shape) == _split_scale(m, n), (m, n)
     non_uniform = ((2,) + (1,) * (2 * m - 1), tuple(range(1, 2 * m + 1)),
                    (64,) + (65,) * (2 * m - 1))
     for mults in non_uniform:
         shape = CycleAlgebraShape(m, mults)
-        assert reported(shape) == enumerated(shape) == {"element_count": 0, "h_values": []}
+        assert _reported_scale(shape) == enumerated(shape) == {"element_count": 0,
+                                                               "h_values": {}}
+    # past the enumeration oracle's reach, against the split oracle it is checked with above
     for n in (65, 100):
-        assert reported(CycleAlgebraShape.uniform(m, n)) == {"skipped": "enumeration bound"}
+        assert _reported_scale(CycleAlgebraShape.uniform(m, n)) == _split_scale(m, n)
 
 
 def test_check_capacity_exact_beyond_int64():
@@ -411,10 +455,24 @@ def test_check_capacity_exact_beyond_int64():
 
 @pytest.mark.parametrize("levels", [8, 16])
 def test_long_homology_range_refused_before_report(levels):
-    # the composite into level 5 has 30^4 / 3 rotations per class: 270001 range values
-    with pytest.raises(InvalidTowerError, match="homology range of 270001 values") as err:
-        finite_level_invariants(stationary_prefix(tower(3, 10, 30), levels))
-    assert err.value.level == 5
+    # the composite into level L has 30^(L-1) / 3 rotations per class and no
+    # reflections, so its homology range has 2 * 30^(L-1) / 6 + 1 values
+    reports = finite_level_invariants(stationary_prefix(tower(3, 10, 30), levels))
+    for entry in reports[1:]:
+        n = 30 ** (entry["level"] - 1)
+        assert entry["composite_signature"] == [n // 3, 0] * 3
+        assert entry["homology_range"] == {"lo": -n, "hi": n, "step": 6}
+    # level 5 alone has 270001 values
+    assert reports[4]["homology_range"] == {"lo": -810000, "hi": 810000, "step": 6}
+
+
+def test_progression():
+    assert progression(range(0)) == {}
+    assert progression(range(5, 6, 6)) == {"lo": 5, "hi": 5, "step": 6}
+    assert progression(range(-9, 10, 6)) == {"lo": -9, "hi": 9, "step": 6}
+    n = 3 * 2 ** 200  # more members than len() can count
+    assert progression(range(-n, n + 1, 6)) == {"lo": -n, "hi": n, "step": 6}
+    assert progression(range(-n, n + 5, 6)) == {"lo": -n, "hi": n, "step": 6}
 
 
 def test_composite_total_beyond_int64_reported():

@@ -1,4 +1,6 @@
 import itertools
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,8 +16,8 @@ from cyclealg.errors import (
     InvalidIndexError,
     K0NotRigidTypeError,
 )
+from cyclealg.limits import progression
 from cyclealg.signatures import (
-    MAX_HOMOLOGY_RANGE,
     CycleAlgebraShape,
     JointScaleElement,
     Signature,
@@ -223,8 +225,10 @@ def test_recovery_examples():
     assert got.r == (1, 0, 0, 0, 0, 0)
     got = signature_from_k0h1(2 * ONES_BLOCKS_M3, 0)
     assert got.r == (1, 1, 1, 1, 1, 1)
-    with pytest.raises(HomologyRangeError):
+    with pytest.raises(HomologyRangeError, match=re.escape("range {1 + 6k : k = 0, .., 0} of")):
         signature_from_k0h1(np.eye(6, dtype=np.int64), -1)
+    with pytest.raises(HomologyRangeError, match=re.escape("range {-6 + 6k : k = 0, .., 2} of")):
+        signature_from_k0h1(2 * ONES_BLOCKS_M3, 3)
     with pytest.raises(K0NotRigidTypeError):
         signature_from_k0h1(np.diag([2, 1, 1, 1, 1, 1]), 0)
 
@@ -246,13 +250,22 @@ def test_recovery_roundtrip_large_entries(sig):
 
 
 def test_fibre_bound():
-    # the (2^24,)*6 matrix has a fibre of 2^25 + 1 members
-    with pytest.raises(EnumerationBoundError):
-        k0_is_rigid_type(k0_matrix(sig3(*(2 ** 24,) * 6)))
-    n = MAX_HOMOLOGY_RANGE
-    assert len(k0_is_rigid_type(k0_matrix(sig3(n - 1, 0, n - 1, 0, n - 1, 0)))) == 2 ** 16
-    with pytest.raises(EnumerationBoundError):
-        k0_is_rigid_type(k0_matrix(sig3(n, 0, n, 0, n, 0)))
+    # the fibre of this matrix has 2^25 members; both ends are picked without listing it
+    n = 2 ** 25 - 1
+    mat = k0_matrix(sig3(n, 0, n, 0, n, 0))
+    tracemalloc.start()
+    try:
+        lowest = signature_from_k0h1(mat, -3 * n)
+        highest = signature_from_k0h1(mat, 3 * n)
+        message = re.escape(f"range {{{-3 * n} + 6k : k = 0, .., {n}}} of")
+        for h in (-3 * n - 6, 3 * n + 6, 3 * n - 3):
+            with pytest.raises(HomologyRangeError, match=message):
+                signature_from_k0h1(mat, h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lowest.r == (0, n, 0, n, 0, n) and highest.r == (n, 0, n, 0, n, 0)
+    assert peak < 2 ** 20
 
 
 def test_roundtrip_exhaustive_small():
@@ -263,16 +276,32 @@ def test_roundtrip_exhaustive_small():
 # -- homology range ---------------------------------------------------------
 
 def test_homology_range_examples():
-    assert homology_range(sig3(1, 0, 0, 0, 0, 0)) == (1,)
-    assert homology_range(sig3(1, 1, 1, 1, 1, 1)) == (-6, 0, 6)
-    assert homology_range(sig3(2, 1, 2, 1, 2, 1)) == (-9, -3, 3, 9)
+    assert tuple(homology_range(sig3(1, 0, 0, 0, 0, 0))) == (1,)
+    assert tuple(homology_range(sig3(1, 1, 1, 1, 1, 1))) == (-6, 0, 6)
+    assert tuple(homology_range(sig3(2, 1, 2, 1, 2, 1))) == (-9, -3, 3, 9)
 
 
 def test_homology_range_bound():
-    n = MAX_HOMOLOGY_RANGE
+    n = 2 ** 16
     assert len(homology_range(sig3(n - 1, 0, n - 1, 0, n - 1, 0))) == 2 ** 16
-    with pytest.raises(EnumerationBoundError):
-        homology_range(sig3(0, n, 0, n, 0, n))
+    for n in (2 ** 16, 2 ** 200):  # n + 1 values, held as a range
+        r = homology_range(sig3(0, n, 0, n, 0, n))
+        assert (r[0], r[-1], r.step) == (-3 * n, 3 * n, 6)
+        assert 3 * n - 6 in r and 3 * n - 3 not in r and 3 * n + 6 not in r
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(3, 6).flatmap(lambda m: signatures_st(m, max_entry=2 ** 200)))
+def test_homology_range_progression_large_entries(sig):
+    m, rot, refl = sig.m, min(sig.r[0::2]), min(sig.r[1::2])
+    lo, hi = h1(sig) - 2 * m * rot, h1(sig) + 2 * m * refl
+    assert progression(homology_range(sig)) == {"lo": lo, "hi": hi, "step": 2 * m}
+    # the ends of the range pick the ends of the fibre: shift by -rot and by +refl
+    mat = k0_matrix(sig)
+    assert signature_from_k0h1(mat, lo).r == tuple(
+        x - rot if i % 2 == 0 else x + rot for i, x in enumerate(sig.r))
+    assert signature_from_k0h1(mat, hi).r == tuple(
+        x + refl if i % 2 == 0 else x - refl for i, x in enumerate(sig.r))
 
 
 def test_homology_range_matches_fibre_bruteforce():
