@@ -19,27 +19,25 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__
+from .cycle_core import check_half_length
 from .errors import (
     CrossCycleLengthError,
     CycleAlgebraError,
-    EnumerationBoundError,
-    InvalidIndexError,
     SpecValidationError,
 )
 from .limits import (
     ExplicitTower,
     StationaryMatroidTower,
-    check_capacity,
     decide_isomorphism,
     finite_level_invariants,
     h1_limit,
     is_extreme,
     is_homologically_limited,
     k0_limit,
-    prime_factors,
     progression,
     unital_scale_numerators,
 )
@@ -66,6 +64,9 @@ SCHEMA_VERSION = 2
 #: Version of the tower-spec format, versioned apart from the reports.
 SPEC_SCHEMA_VERSION = 1
 
+#: Largest cycle half-length m of a spec or a signature argument: an explicit
+#: report holds 2m x 2m matrices and composing builds a (2m)^2 product table.
+MAX_HALF_LENGTH = 64
 #: Largest joint-scale sample of a stationary report, which lists its numerators.
 MAX_SAMPLE_NUMERATORS = 2 ** 16
 #: Largest matrix-model dimension N = sum of dims that ``verify`` builds.
@@ -85,69 +86,63 @@ def _expect(condition, message, field):
         raise SpecValidationError(message, field=field)
 
 
-def _is_int(x) -> bool:
-    """JSON integers only: ``true`` and ``false`` decode to bool, a subclass of int."""
-    return isinstance(x, int) and not isinstance(x, bool)
+def _build(field, make, *args):
+    """``make(*args)``, with a refusal reported as a spec error at ``field``.
+
+    A refusal that names its argument (the stationary tower's d and s) is
+    reported at that spec key instead.
+    """
+    try:
+        return make(*args)
+    except CycleAlgebraError as exc:
+        name = getattr(exc, "name", None)
+        raise SpecValidationError(str(exc), field=f"$.{name}" if name else field) from exc
+
+
+def _half_length(m, field) -> int:
+    m = _build(field, check_half_length, m, 3)
+    _expect(m <= MAX_HALF_LENGTH,
+            f"cycle half-length m={m} exceeds the bound {MAX_HALF_LENGTH}", field)
+    return m
+
+
+def _rows(data, key, make, m) -> list:
+    """The list of lists at ``key``, each row built as ``make(m, row)``."""
+    rows = data.get(key)
+    _expect(isinstance(rows, list), f"{key} must be a list", f"$.{key}")
+    out = []
+    for i, row in enumerate(rows):
+        _expect(isinstance(row, list), f"each entry of {key} must be a list", f"$.{key}[{i}]")
+        out.append(_build(f"$.{key}[{i}]", make, m, row))
+    return out
 
 
 def parse_tower_spec(data) -> tuple:
-    """Validate a decoded tower spec; returns ("stationary"|"explicit", tower)."""
+    """Build the tower of a decoded spec; returns ("stationary"|"explicit", tower).
+
+    Only the JSON shape is checked here.  The tower types check every value,
+    and each refusal is reported at the spec field it concerns.
+    """
     _expect(isinstance(data, dict), "spec must be a JSON object", "$")
-    _expect(data.get("schema_version") == SPEC_SCHEMA_VERSION,
+    version = data.get("schema_version")
+    _expect(type(version) is int and version == SPEC_SCHEMA_VERSION,
             f"schema_version must be {SPEC_SCHEMA_VERSION}", "$.schema_version")
-    m = data.get("m")
-    _expect(_is_int(m) and m >= 3, "m must be an integer >= 3", "$.m")
+    m = _half_length(data.get("m"), "$.m")
     mode = data.get("mode")
     _expect(mode in ("stationary_matroid", "explicit"),
             "mode must be 'stationary_matroid' or 'explicit'", "$.mode")
 
     if mode == "stationary_matroid":
-        d = data.get("d")
-        _expect(_is_int(d) and d >= 1, "d must be a positive integer", "$.d")
-        s = data.get("s")
-        _expect(_is_int(s), "s must be an integer", "$.s")
-        try:
-            tower = StationaryMatroidTower(m, d, s)
-        except InvalidIndexError as exc:
-            raise SpecValidationError(str(exc), field="$.s") from exc
+        tower = _build("$", StationaryMatroidTower, m, data.get("d"), data.get("s"))
         # The limit invariants factor md and |s|; refuse a factor out of reach here.
-        for value, field in ((tower.level_multiplier, "$.d"), (abs(s), "$.s")):
-            try:
-                prime_factors(value or 1)
-            except EnumerationBoundError as exc:
-                raise SpecValidationError(str(exc), field=field) from exc
+        _build("$.d", lambda: tower.md_primes)
+        _build("$.s", lambda: tower.s_primes)
         return "stationary", tower
 
-    shapes_raw = data.get("shapes")
-    _expect(isinstance(shapes_raw, list) and shapes_raw, "shapes must be a nonempty list",
-            "$.shapes")
-    shapes = []
-    for i, row in enumerate(shapes_raw):
-        field = f"$.shapes[{i}]"
-        _expect(isinstance(row, list) and len(row) == 2 * m,
-                f"each shape needs {2 * m} vertex multiplicities", field)
-        _expect(all(_is_int(x) and x >= 1 for x in row),
-                "vertex multiplicities must be positive integers", field)
-        shapes.append(CycleAlgebraShape(m, tuple(row)))
-    embeddings_raw = data.get("embeddings")
-    _expect(isinstance(embeddings_raw, list), "embeddings must be a list", "$.embeddings")
-    _expect(len(embeddings_raw) == len(shapes) - 1,
-            f"{len(shapes)} shapes need {len(shapes) - 1} embeddings", "$.embeddings")
-    embeddings = []
-    for i, row in enumerate(embeddings_raw):
-        field = f"$.embeddings[{i}]"
-        _expect(isinstance(row, list) and len(row) == 2 * m,
-                f"each signature needs {2 * m} entries", field)
-        _expect(all(_is_int(x) and x >= 0 for x in row),
-                "signature entries must be nonnegative integers", field)
-        _expect(any(row), "linking signatures must be nonzero", field)
-        embeddings.append(Signature(m, tuple(row)))
-    try:
-        tower = ExplicitTower(tuple(shapes), tuple(embeddings))
-        check_capacity(tower)
-    except CycleAlgebraError as exc:
-        raise SpecValidationError(str(exc), field="$.embeddings") from exc
-    return "explicit", tower
+    shapes = _rows(data, "shapes", CycleAlgebraShape, m)
+    _expect(shapes, "shapes must be a nonempty list", "$.shapes")
+    embeddings = _rows(data, "embeddings", Signature, m)
+    return "explicit", _build("$.embeddings", ExplicitTower, shapes, embeddings)
 
 
 def load_tower_spec(path) -> tuple:
@@ -220,7 +215,7 @@ def _parse_signature(text) -> Signature:
         raise SpecValidationError(
             f"a signature needs an even number of entries (>= 6), got {len(entries)}",
             field="signature")
-    return Signature(len(entries) // 2, entries)
+    return Signature(_half_length(len(entries) // 2, "signature"), entries)
 
 
 def _parse_matrix(text, m):
@@ -427,7 +422,14 @@ def main(argv=None) -> int:
         # argparse uses exit code 2 for usage errors already
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout (``| head``): drop the rest of the report
+        # quietly, and keep the interpreter's final flush from failing again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except SpecValidationError as exc:
         print(f"error ({exc.field}): {exc}", file=sys.stderr)
         return EXIT_ERROR

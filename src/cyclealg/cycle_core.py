@@ -20,18 +20,35 @@ Vertices are kept 1-based with representatives in {1, .., 2m}.  Composition
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 from .errors import IncompatibleError, InvalidIndexError
 
 
-def check_half_length(m, minimum=2):
+def check_integer(x, what, minimum=None, name=None) -> int:
+    """x as a Python int, at least ``minimum`` if given.
+
+    Bools and non-integral values (floats, strings) are refused; integer
+    types such as numpy ints are converted.  A refusal carries ``name``, the
+    argument at fault.
+    """
+    value = x
+    if type(value) is not int:  # bool, a subclass of int, also lands here
+        try:
+            value = None if isinstance(x, bool) else int(operator.index(x))
+        except TypeError:
+            value = None
+        if value is None:
+            raise InvalidIndexError(f"{what} must be an integer, got {x!r}", name)
+    if minimum is not None and value < minimum:
+        raise InvalidIndexError(f"{what} must be >= {minimum}, got {value}", name)
+    return value
+
+
+def check_half_length(m, minimum=2) -> int:
     """Validate a cycle half-length m (the digraph has 2m vertices)."""
-    if not isinstance(m, int) or isinstance(m, bool):
-        raise InvalidIndexError(f"cycle half-length must be an integer, got {m!r}")
-    if m < minimum:
-        raise InvalidIndexError(f"cycle half-length must be >= {minimum}, got {m}")
-    return m
+    return check_integer(m, "cycle half-length", minimum)
 
 
 @dataclass(frozen=True, order=True)

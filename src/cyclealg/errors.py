@@ -6,7 +6,14 @@ class CycleAlgebraError(Exception):
 
 
 class InvalidIndexError(CycleAlgebraError, ValueError):
-    """A cycle half-length, vertex index or label is out of range."""
+    """A cycle half-length, vertex index, label or other integer is out of range.
+
+    ``name`` names the offending argument where a constructor checks several.
+    """
+
+    def __init__(self, message, name=None):
+        super().__init__(message)
+        self.name = name
 
 
 class IncompatibleError(CycleAlgebraError, ValueError):

@@ -22,11 +22,12 @@ Everything is exact (integers and fractions).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cycle_core import check_half_length
+from .cycle_core import check_half_length, check_integer
 from .errors import (
     CrossCycleLengthError,
     EnumerationBoundError,
@@ -41,8 +42,6 @@ from .signatures import (
     k0_matrix,
     signature_compose,
 )
-
-INF = math.inf
 
 #: Largest trial divisor of ``prime_factors``.
 TRIAL_DIVISION_BOUND = 2 ** 20
@@ -76,86 +75,44 @@ def prime_factors(n) -> dict:
 
 @dataclass(frozen=True)
 class SupernaturalNumber:
-    """A generalised integer: primes with exponents in {1, 2, ..} or infinity."""
+    """The generalised integer n^inf, given by the sorted primes of n.
 
-    exponents: tuple  # sorted tuple of (prime, exponent)
+    Every K0 datum here is such an infinite power, so each prime carries the
+    exponent infinity and only the prime set is stored.
+    """
 
-    def __post_init__(self):
-        items = tuple(sorted((int(p), e) for p, e in self.exponents))
-        for p, e in items:
-            if p < 2 or prime_factors(p) != {p: 1}:
-                raise InvalidIndexError(f"{p} is not prime")
-            if e != INF and (not isinstance(e, int) or e < 1):
-                raise InvalidIndexError(f"exponent of {p} must be a positive integer or inf")
-        object.__setattr__(self, "exponents", items)
-
-    @classmethod
-    def from_infinite_power(cls, n) -> "SupernaturalNumber":
-        """n^inf: every prime of n with exponent infinity."""
-        if n < 2:
-            raise InvalidIndexError(f"need an integer >= 2, got {n}")
-        return cls(tuple((p, INF) for p in sorted(prime_factors(n))))
-
-    @property
-    def primes(self) -> tuple:
-        return tuple(p for p, _ in self.exponents)
-
-    def __mul__(self, other) -> "SupernaturalNumber":
-        acc = dict(self.exponents)
-        for p, e in other.exponents:
-            acc[p] = INF if INF in (e, acc.get(p)) else acc.get(p, 0) + e
-        return SupernaturalNumber(tuple(acc.items()))
+    primes: tuple
 
     def __str__(self):
-        if not self.exponents:
-            return "1"
-        return " * ".join(f"{p}^{'inf' if e == INF else e}" for p, e in self.exponents)
+        return " * ".join(f"{p}^inf" for p in self.primes)
 
     def to_json(self):
-        return {str(p): ("inf" if e == INF else e) for p, e in self.exponents}
+        return {str(p): "inf" for p in self.primes}
 
 
 @dataclass(frozen=True)
 class LocalizedGroup:
-    """The limit homology group: 0, or the integers localized at a prime set."""
+    """The limit homology group: Z localized at the sorted ``primes``, or 0 without primes.
 
-    kind: str
-    primes: tuple = ()
+    The group is 0 exactly for s = 0; a nonzero s has |s| >= m >= 3, so its
+    prime set is never empty.
+    """
 
-    def __post_init__(self):
-        if self.kind not in ("trivial", "localization"):
-            raise InvalidIndexError(f"unknown group kind {self.kind!r}")
-        primes = tuple(sorted(int(p) for p in self.primes))
-        if self.kind == "localization" and not primes:
-            raise InvalidIndexError("a localization needs a nonempty prime set")
-        if self.kind != "localization" and primes:
-            raise InvalidIndexError(f"{self.kind} group carries no primes")
-        object.__setattr__(self, "primes", primes)
+    primes: tuple
 
-    @classmethod
-    def trivial(cls):
-        return cls("trivial")
-
-    @classmethod
-    def localization(cls, primes):
-        return cls("localization", tuple(primes))
+    @property
+    def kind(self) -> str:
+        return "localization" if self.primes else "trivial"
 
     def describe(self) -> str:
-        if self.kind == "trivial":
+        if not self.primes:
             return "0"
         return "Z[1/(" + "*".join(str(p) for p in self.primes) + ")]"
 
 
-def _level_multiplier(m, d) -> int:
-    check_half_length(m, minimum=3)
-    if not isinstance(d, int) or d < 1:
-        raise InvalidIndexError(f"level multiplier d must be a positive integer, got {d}")
-    return m * d
-
-
 def enumerate_S(m, d):
     """The d + 1 possible homology multipliers {-md, -md + 2m, .., md}."""
-    md = _level_multiplier(m, d)
+    md = check_half_length(m, minimum=3) * check_integer(d, "level multiplier d", 1, name="d")
     return list(range(-md, md + 1, 2 * m))
 
 
@@ -170,16 +127,31 @@ class StationaryMatroidTower:
     def __post_init__(self):
         # s is admissible iff |s| <= md and s = md mod 2m: O(1), the d + 1
         # admissible values are never built.
-        md = _level_multiplier(self.m, self.d)
-        s = self.s
-        if not isinstance(s, int) or abs(s) > md or (s + md) % (2 * self.m):
+        m = check_half_length(self.m, minimum=3)
+        d = check_integer(self.d, "level multiplier d", 1, name="d")
+        s = check_integer(self.s, "s", name="s")
+        md = m * d
+        if abs(s) > md or (s + md) % (2 * m):
             raise InvalidIndexError(
-                f"s={s} is not in the admissible set "
-                f"{{-{md} + {2 * self.m}j : j = 0, .., {self.d}}}")
+                f"s={s} is not in the admissible set {{-{md} + {2 * m}j : j = 0, .., {d}}}",
+                "s")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "s", s)
 
     @property
     def level_multiplier(self) -> int:
         return self.m * self.d
+
+    @functools.cached_property
+    def md_primes(self) -> tuple:
+        """The primes of md, which alone determine the K0 data (md)^inf."""
+        return tuple(sorted(prime_factors(self.level_multiplier)))
+
+    @functools.cached_property
+    def s_primes(self) -> tuple:
+        """The primes of |s| (none for s = 0), which alone determine the homology group."""
+        return tuple(sorted(prime_factors(abs(self.s)))) if self.s else ()
 
     def constant_signature(self) -> Signature:
         """The linking signature (p, q, p, q, ..) with p + q = d, m(p - q) = s."""
@@ -198,7 +170,7 @@ class StationaryMatroidTower:
 
 def k0_limit(tower: StationaryMatroidTower):
     """Limit ordered K0 data: ((md)^inf, description of summands, order unit, scale)."""
-    sn = SupernaturalNumber.from_infinite_power(tower.level_multiplier)
+    sn = SupernaturalNumber(tower.md_primes)
     description = {
         "summands": 2,
         "summand_index": "the two vertex-parity classes",
@@ -210,13 +182,8 @@ def k0_limit(tower: StationaryMatroidTower):
 
 
 def h1_limit(tower: StationaryMatroidTower) -> LocalizedGroup:
-    """Limit homology group: trivial for s = 0, else Z localized at the primes of |s|.
-
-    For a valid tower |s| is 0 or at least m >= 3, so the prime set is never empty.
-    """
-    if tower.s == 0:
-        return LocalizedGroup.trivial()
-    return LocalizedGroup.localization(sorted(prime_factors(abs(tower.s))))
+    """Limit homology group: trivial for s = 0, else Z localized at the primes of |s|."""
+    return LocalizedGroup(tower.s_primes)
 
 
 def is_extreme(tower: StationaryMatroidTower) -> bool:
@@ -242,10 +209,8 @@ class LimitScaleQuery:
     t: int
 
     def __post_init__(self):
-        if not isinstance(self.t, int) or self.t < 1:
-            raise InvalidIndexError(f"exponent t must be a positive integer, got {self.t}")
-        if not isinstance(self.k, int):
-            raise InvalidIndexError(f"numerator k must be an integer, got {self.k}")
+        object.__setattr__(self, "k", check_integer(self.k, "numerator k"))
+        object.__setattr__(self, "t", check_integer(self.t, "exponent t", 1))
 
 
 @dataclass(frozen=True)
@@ -425,7 +390,12 @@ def decide_isomorphism(t1: StationaryMatroidTower,
 
 @dataclass(frozen=True)
 class ExplicitTower:
-    """A finite tower prefix: shapes plus one linking signature per step."""
+    """A finite tower prefix: shapes plus one linking signature per step.
+
+    Construction checks capacity, so every instance is realizable: the
+    standard embedding of each linking signature fits its target level.
+    Refusals raise ``InvalidTowerError`` naming the first offending level.
+    """
 
     shapes: tuple
     embeddings: tuple
@@ -441,15 +411,19 @@ class ExplicitTower:
                 f"got {len(embeddings)}", level=len(shapes))
         m = shapes[0].m
         check_half_length(m, minimum=3)
-        for shape in shapes:
+        for level, shape in enumerate(shapes, start=1):
             if shape.m != m:
-                raise InvalidTowerError("all levels must share the cycle length", level=1)
-        for sig in embeddings:
+                raise InvalidTowerError(f"level {level} has m={shape.m}, level 1 has m={m}",
+                                        level=level)
+        for level, sig in enumerate(embeddings, start=2):
             if sig.m != m:
-                raise InvalidTowerError("all linking signatures must share the cycle length",
-                                        level=1)
+                raise InvalidTowerError(
+                    f"the linking signature into level {level} has m={sig.m}, the levels "
+                    f"have m={m}", level=level)
             if sig.is_zero:
-                raise InvalidTowerError("linking signatures must be nonzero", level=1)
+                raise InvalidTowerError(
+                    f"the linking signature into level {level} must be nonzero", level=level)
+        _check_capacity(shapes, embeddings)
         object.__setattr__(self, "shapes", shapes)
         object.__setattr__(self, "embeddings", embeddings)
 
@@ -458,29 +432,22 @@ class ExplicitTower:
         return self.shapes[0].m
 
 
-def stationary_prefix(tower: StationaryMatroidTower, levels) -> ExplicitTower:
-    """The explicit truncation of a stationary tower at the given number of levels."""
-    if levels < 1:
-        raise InvalidIndexError(f"need at least one level, got {levels}")
-    shapes = tuple(tower.level_shape(i) for i in range(1, levels + 1))
-    return ExplicitTower(shapes, (tower.constant_signature(),) * (levels - 1))
-
-
-def check_capacity(tower: ExplicitTower) -> None:
-    """Check K0(sig) . mults_src <= mults_tgt at every step, in exact integers.
-
-    Raises ``InvalidTowerError`` naming the first level that cannot hold the
-    standard embedding of its linking signature.
-    """
-    for i, sig in enumerate(tower.embeddings):
-        src = tower.shapes[i].mults_parity_order()
+def _check_capacity(shapes, embeddings) -> None:
+    """Check K0(sig) . mults_src <= mults_tgt at every step, in exact integers."""
+    for level, sig in enumerate(embeddings, start=2):
+        src = shapes[level - 2].mults_parity_order()
         needed = [sum(a * b for a, b in zip(row, src)) for row in k0_matrix(sig)]
-        tgt = tower.shapes[i + 1].mults_parity_order()
+        tgt = shapes[level - 1].mults_parity_order()
         if any(n > t for n, t in zip(needed, tgt)):
             raise InvalidTowerError(
-                f"embedding into level {i + 2} needs vertex multiplicities "
-                f"{needed} but the level has {list(tgt)}",
-                level=i + 2)
+                f"embedding into level {level} needs vertex multiplicities "
+                f"{needed} but the level has {list(tgt)}", level=level)
+
+
+def stationary_prefix(tower: StationaryMatroidTower, levels) -> ExplicitTower:
+    """The explicit truncation of a stationary tower at the given number of levels."""
+    shapes = tuple(tower.level_shape(i) for i in range(1, levels + 1))
+    return ExplicitTower(shapes, (tower.constant_signature(),) * (levels - 1))
 
 
 def progression(values: range) -> dict:
@@ -508,12 +475,10 @@ def _unital_scale(shape: CycleAlgebraShape) -> dict:
 def finite_level_invariants(tower: ExplicitTower) -> list:
     """Per-level invariants of an explicit tower prefix.
 
-    Checks capacity (``check_capacity``) first, then reports per level the
-    composed signature from level 1, its matrix and homology data, and the
-    unital joint scale of the level algebra.  No limit verdict is attached:
-    the input is a finite prefix.
+    Reports per level the composed signature from level 1, its matrix and
+    homology data, and the unital joint scale of the level algebra.  No
+    limit verdict is attached: the input is a finite prefix.
     """
-    check_capacity(tower)
     reports, composite = [], None
     for level, shape in enumerate(tower.shapes, start=1):
         entry = {"level": level, "vertex_mults": list(shape.vertex_mults),

@@ -251,12 +251,6 @@ def realize_rigid(sig: Signature, target: MatrixAlgebraModel,
     return ConcreteEmbedding(source, target, unit_images)
 
 
-def realize_multiplicity_one(element: DihedralElement, target: MatrixAlgebraModel,
-                             source: MatrixAlgebraModel = None) -> ConcreteEmbedding:
-    """Standard-form multiplicity-one embedding inducing the given automorphism."""
-    return realize_rigid(Signature.unit(element), target, source)
-
-
 def compose_embeddings(f: ConcreteEmbedding, g: ConcreteEmbedding) -> ConcreteEmbedding:
     """The composite that applies f first, then g (f's target must be g's source)."""
     if f.target != g.source:
@@ -321,7 +315,7 @@ def decompose_signature(emb: ConcreteEmbedding, tol=_PIECE_TOL) -> Signature:
     check_half_length(m, minimum=3)
     basic = basic_model(m)
     if emb.source != basic:
-        probe = realize_multiplicity_one(DihedralElement.identity(m), emb.source, source=basic)
+        probe = realize_rigid(Signature.unit(DihedralElement.identity(m)), emb.source, basic)
         emb = compose_embeddings(probe, emb)
 
     target = emb.target
@@ -533,8 +527,8 @@ def composition_oracle_report(m) -> dict:
     mismatches = []
     for a, sa in zip(autos, units):
         for b, sb in zip(autos, units):
-            first = realize_multiplicity_one(b, unit)
-            second = realize_multiplicity_one(a, unit, source=unit)
+            first = realize_rigid(sb, unit)
+            second = realize_rigid(sa, unit, source=unit)
             got = decompose_signature(compose_embeddings(first, second))
             expected = signature_compose(sb, sa)
             if got.r != expected.r:

@@ -27,6 +27,7 @@ import numpy as np
 from .cycle_core import (
     DihedralElement,
     check_half_length,
+    check_integer,
     dihedral_compose,
     enumerate_automorphisms,
     parity_order,
@@ -42,6 +43,8 @@ from .errors import (
 
 #: Default ceiling on exact joint-scale enumerations (total multiplicity).
 DEFAULT_ENUMERATION_BOUND = 64
+#: ``k0h1_roundtrip_report`` enumerates at most 2^16 signatures.
+MAX_ROUNDTRIP_LOG2 = 16
 
 
 @dataclass(frozen=True)
@@ -56,12 +59,10 @@ class Signature:
     r: tuple
 
     def __post_init__(self):
-        check_half_length(self.m, minimum=3)
-        r = tuple(int(x) for x in self.r)
+        object.__setattr__(self, "m", check_half_length(self.m, minimum=3))
+        r = tuple(check_integer(x, "signature entry", 0) for x in self.r)
         if len(r) != 2 * self.m:
             raise InvalidIndexError(f"signature needs {2 * self.m} entries, got {len(r)}")
-        if any(x < 0 for x in r):
-            raise InvalidIndexError(f"signature entries must be nonnegative, got {r}")
         object.__setattr__(self, "r", r)
 
     @property
@@ -245,12 +246,10 @@ class CycleAlgebraShape:
     vertex_mults: tuple
 
     def __post_init__(self):
-        check_half_length(self.m)
-        mults = tuple(int(x) for x in self.vertex_mults)
+        object.__setattr__(self, "m", check_half_length(self.m))
+        mults = tuple(check_integer(x, "vertex multiplicity", 1) for x in self.vertex_mults)
         if len(mults) != 2 * self.m:
             raise InvalidIndexError(f"shape needs {2 * self.m} multiplicities, got {len(mults)}")
-        if any(x < 1 for x in mults):
-            raise InvalidIndexError(f"vertex multiplicities must be positive, got {mults}")
         object.__setattr__(self, "vertex_mults", mults)
 
     @classmethod
@@ -351,11 +350,6 @@ def joint_scale_finite(shape: CycleAlgebraShape, unital_only=False,
     return out
 
 
-def unital_h1_values(shape: CycleAlgebraShape, max_total=DEFAULT_ENUMERATION_BOUND) -> set:
-    """Homology values over all unital signatures into ``shape``, by enumeration."""
-    return {e.h_part for e in joint_scale_finite(shape, unital_only=True, max_total=max_total)}
-
-
 def unit_signatures(m) -> list:
     """The 2m multiplicity-one signatures in canonical label order."""
     return [Signature.unit(theta) for theta in enumerate_automorphisms(m)]
@@ -373,8 +367,14 @@ def k0h1_roundtrip_report(m, max_entry=2) -> dict:
     The pair (matrix, homology multiplier) determines the signature uniquely:
     the matrix pins the shift family and the homology value pins the shift.
     """
+    check_half_length(m, minimum=3)
     if max_entry < 1:
         raise InvalidIndexError(f"max_entry must be at least 1, got {max_entry}")
+    # (max_entry + 1)^(2m) >= 2^(2m), so 2m > 16 is past the bound without the power
+    if 2 * m > MAX_ROUNDTRIP_LOG2 or (max_entry + 1) ** (2 * m) > 2 ** MAX_ROUNDTRIP_LOG2:
+        raise EnumerationBoundError(
+            f"max_entry={max_entry} at m={m} gives (max_entry + 1)^(2m) signatures, "
+            f"more than the bound 2^{MAX_ROUNDTRIP_LOG2}")
     count, failures = 0, []
     for sig in signatures_with_entries_at_most(m, max_entry):
         count += 1

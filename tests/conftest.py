@@ -9,7 +9,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from cyclealg.signatures import CycleAlgebraShape, unital_h1_values
+from cyclealg.signatures import CycleAlgebraShape, joint_scale_finite
 
 # Largest total multiplicity for which the m=3 signature enumeration is run in
 # full; beyond this the split reduction below is used (validated against the
@@ -34,7 +34,8 @@ def compose_images(images_a, images_b):
 def unital_h1_set_full(m, total):
     """Homology values of unital signatures with the given total, by full enumeration."""
     shape = CycleAlgebraShape.uniform(m, total)
-    return frozenset(unital_h1_values(shape, max_total=max(total, 64)))
+    return frozenset(e.h_part for e in joint_scale_finite(shape, unital_only=True,
+                                                          max_total=max(total, 64)))
 
 
 def unital_h1_contains_split(k, total):

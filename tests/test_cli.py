@@ -6,8 +6,11 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from cyclealg.cli import main, parse_tower_spec
+import cyclealg.limits as limits
+from cyclealg.cli import MAX_HALF_LENGTH, main, parse_tower_spec
 from cyclealg.errors import SpecValidationError
 from cyclealg.limits import (
     LimitScaleQuery,
@@ -86,6 +89,103 @@ def test_parse_explicit_capacity_error():
     data["shapes"][1] = [1, 1, 1, 1, 1, 1]
     with pytest.raises(SpecValidationError):
         parse_tower_spec(data)
+
+
+#: Values that no spec field accepts, whatever its range: JSON non-integers.
+NON_INTEGERS = st.one_of(st.booleans(), st.none(), st.text(max_size=3),
+                         st.floats(allow_nan=False), st.lists(st.integers(0, 3), max_size=2))
+
+
+@st.composite
+def _mutated_spec(draw):
+    """A valid spec with one value made invalid, and the field its refusal names."""
+    m = draw(st.integers(3, 5))
+    if draw(st.booleans()):
+        d = draw(st.integers(1, 6))
+        spec = {"schema_version": 1, "m": m, "mode": "stationary_matroid", "d": d,
+                "s": draw(st.sampled_from(range(-m * d, m * d + 1, 2 * m)))}
+        key = draw(st.sampled_from(["schema_version", "m", "mode", "d", "s"]))
+        out_of_range = {
+            "schema_version": st.integers(2, 9),
+            "m": st.integers(-3, 2) | st.integers(MAX_HALF_LENGTH + 1, 10 ** 6),
+            "d": st.integers(-3, 0),
+            # a shift by less than 2m breaks s = md (mod 2m)
+            "s": st.integers(1, 2 * m - 1).map(lambda k: spec["s"] + k),
+        }.get(key, st.nothing())
+        spec[key] = draw(NON_INTEGERS | out_of_range)
+        return spec, f"$.{key}"
+    levels = draw(st.integers(1, 3))
+    spec = {"schema_version": 1, "m": m, "mode": "explicit",
+            "shapes": [[2 ** i] * (2 * m) for i in range(levels)],
+            "embeddings": [[1, 1] + [0] * (2 * m - 2)] * (levels - 1)}
+    key = draw(st.sampled_from(["shapes", "embeddings"] if levels > 1 else ["shapes"]))
+    i = draw(st.integers(0, len(spec[key]) - 1))
+    row = list(spec[key][i])
+    row[draw(st.integers(0, 2 * m - 1))] = draw(NON_INTEGERS | st.integers(-3, -1))
+    spec[key] = spec[key][:i] + [row] + spec[key][i + 1:]
+    return spec, f"$.{key}[{i}]"
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_mutated_spec())
+def test_one_bad_value_is_refused_at_its_field(tmp_path, capsys, case):
+    spec, field = case
+    assert main(["invariants", write_spec(tmp_path, "t.json", spec)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error ({field}): "), captured.err
+
+
+@pytest.mark.parametrize("mode", [STATIONARY, EXPLICIT])
+def test_spec_half_length_bound(tmp_path, capsys, mode):
+    for m, code in ((MAX_HALF_LENGTH, 0), (MAX_HALF_LENGTH + 1, 2)):
+        spec = dict(mode, m=m, d=1, s=m)
+        if mode is EXPLICIT:
+            spec.update(shapes=[[1] * (2 * m), [2] * (2 * m)],
+                        embeddings=[[1, 1] + [0] * (2 * m - 2)])
+        assert main(["invariants", write_spec(tmp_path, "t.json", spec), "--json"]) == code
+        captured = capsys.readouterr()
+        if code:
+            assert captured.out == ""
+            assert captured.err.startswith("error ($.m): ") and "bound 64" in captured.err
+
+
+@pytest.mark.parametrize("operation", ["compose", "homrange"])
+def test_signature_half_length_bound(capsys, operation):
+    for m, code in ((MAX_HALF_LENGTH, 0), (MAX_HALF_LENGTH + 1, 2)):
+        sig = ",".join(["1"] * (2 * m))
+        args = [sig, sig] if operation == "compose" else [sig]
+        assert main(["signature", operation, *args, "--json"]) == code
+        captured = capsys.readouterr()
+        if code:
+            assert captured.out == "" and captured.err.startswith("error (signature): ")
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    real = getattr(limits, name)
+    monkeypatch.setattr(limits, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+@pytest.mark.parametrize("command,factorings", [("invariants", 2), ("compare", 4)])
+def test_stationary_commands_factor_md_and_s_once(tmp_path, capsys, monkeypatch,
+                                                  command, factorings):
+    calls = _count_calls(monkeypatch, "prime_factors")
+    spec = write_spec(tmp_path, "t.json", STATIONARY)
+    assert main([command, *[spec] * (1 if command == "invariants" else 2), "--json"]) == 0
+    assert len(calls) == factorings
+
+
+def test_explicit_invariants_check_capacity_once(tmp_path, capsys, monkeypatch):
+    prefix = stationary_prefix(StationaryMatroidTower(3, 2, 0), 4)
+    spec = write_spec(tmp_path, "t.json", {
+        "schema_version": 1, "m": 3, "mode": "explicit",
+        "shapes": [list(s.vertex_mults) for s in prefix.shapes],
+        "embeddings": [list(e.r) for e in prefix.embeddings]})
+    calls = _count_calls(monkeypatch, "_check_capacity")
+    assert main(["invariants", spec, "--json"]) == 0
+    assert len(calls) == 1
 
 
 def _limit_address_space():
@@ -458,6 +558,21 @@ def test_cli_subprocess_determinism(tmp_path):
         second = run_cli(*cmd)
         assert first == second
         assert first[0] == 0
+
+
+def test_closed_stdout_exits_quietly(tmp_path):
+    # a report of tens of thousands of lines, read one line at a time as ``| head -1`` does
+    m = MAX_HALF_LENGTH
+    spec = write_spec(tmp_path, "t.json", {
+        "schema_version": 1, "m": m, "mode": "explicit",
+        "shapes": [[1] * (2 * m), [2] * (2 * m)], "embeddings": [[1, 1] + [0] * (2 * m - 2)]})
+    proc = subprocess.Popen([sys.executable, "-m", "cyclealg", "invariants", spec, "--json"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=30) == 1
+    assert err == b""
 
 
 def test_version_and_usage_exit_codes(capsys):

@@ -1,10 +1,13 @@
 import itertools
 
+import numpy as np
 import pytest
 from conftest import compose_images
 
 from cyclealg.cycle_core import (
     DihedralElement,
+    check_half_length,
+    check_integer,
     dihedral_compose,
     dihedral_inverse,
     element_from_images,
@@ -13,6 +16,25 @@ from cyclealg.cycle_core import (
     parity_position,
 )
 from cyclealg.errors import IncompatibleError, InvalidIndexError
+
+
+@pytest.mark.parametrize("value", [True, False, np.True_, 1.0, 2.9, "3", None, [3]])
+def test_check_integer_refuses_non_integers(value):
+    with pytest.raises(InvalidIndexError, match="count must be an integer") as err:
+        check_integer(value, "count", name="n")
+    assert err.value.name == "n"
+
+
+def test_check_integer_converts_and_bounds():
+    for value in (7, np.int64(7), np.uint8(7)):
+        got = check_integer(value, "count", 0)
+        assert got == 7 and type(got) is int
+    assert check_integer(-2 ** 100, "count") == -2 ** 100
+    with pytest.raises(InvalidIndexError, match="count must be >= 1, got 0"):
+        check_integer(0, "count", 1)
+    assert type(check_half_length(np.int32(4))) is int
+    with pytest.raises(InvalidIndexError):
+        check_half_length(3.0)
 
 
 def test_enumeration_count_and_kinds():

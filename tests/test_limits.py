@@ -24,7 +24,6 @@ from cyclealg.limits import (
     LocalizedGroup,
     StationaryMatroidTower,
     SupernaturalNumber,
-    check_capacity,
     decide_isomorphism,
     enumerate_S,
     finite_level_invariants,
@@ -45,9 +44,6 @@ from cyclealg.signatures import (
     joint_scale_finite,
     k0_matrix,
 )
-
-INF = math.inf
-
 
 def tower(m, d, s):
     return StationaryMatroidTower(m, d, s)
@@ -70,20 +66,20 @@ def test_prime_factors_bounded_trial_division():
     for n in (above ** 2, 10 ** 18 + 3, 3 * (10 ** 18 + 3)):
         with pytest.raises(EnumerationBoundError, match="no prime factor up to 2"):
             prime_factors(n)
-    assert SupernaturalNumber(((big, 1),)).primes == (big,)
+    # a tower factors md and |s| once, when their primes are first read
+    t = tower(3, big, 3)
+    assert t.md_primes == (3, big) and t.s_primes == (3,)
     with pytest.raises(EnumerationBoundError):
-        SupernaturalNumber(((10 ** 18 + 3, 1),))
+        tower(3, 10 ** 18 + 3, 3).md_primes
 
 
 def test_supernatural_numbers():
-    a = SupernaturalNumber.from_infinite_power(12)
+    # every K0 datum is n^inf, so a supernatural number is its sorted prime set
+    a = SupernaturalNumber((2, 3))
     assert a.primes == (2, 3) and str(a) == "2^inf * 3^inf"
-    b = SupernaturalNumber.from_infinite_power(6)
-    assert a == b
-    c = SupernaturalNumber(((5, 2),))
-    assert str(a * c) == "2^inf * 3^inf * 5^2"
-    with pytest.raises(InvalidIndexError):
-        SupernaturalNumber(((4, 1),))
+    assert a.to_json() == {"2": "inf", "3": "inf"}
+    assert a == SupernaturalNumber(tower(3, 4, 0).md_primes) == k0_limit(tower(3, 2, 0))[0]
+    assert a != SupernaturalNumber(tower(3, 5, 3).md_primes)
 
 
 def test_enumerate_S():
@@ -95,6 +91,38 @@ def test_enumerate_S():
             values = enumerate_S(m, d)
             assert len(values) == d + 1
             assert all((s - m * d) % (2 * m) == 0 for s in values)
+
+
+@pytest.mark.parametrize("d,s,name", [
+    (4.0, 6, "d"), (True, 3, "d"), ("4", 6, "d"), (0, 0, "d"),
+    (4, 6.0, "s"), (4, False, "s"), (4, "6", "s"), (4, 5, "s")])
+def test_tower_refusals_name_the_argument(d, s, name):
+    # d = True would pass as 1 with s = 3, and s = False as 0 with d = 4
+    with pytest.raises(InvalidIndexError) as err:
+        tower(3, d, s)
+    assert err.value.name == name
+
+
+def test_tower_numpy_integers_become_python_ints():
+    t = tower(np.int64(3), np.int32(4), np.int64(-6))
+    assert (t.m, t.d, t.s) == (3, 4, -6)
+    assert all(type(x) is int for x in (t.m, t.d, t.s))
+    assert t == tower(3, 4, -6) and hash(t) == hash(tower(3, 4, -6))
+
+
+def test_tower_factors_md_and_s_once(monkeypatch):
+    import cyclealg.limits as limits
+    calls = []
+    monkeypatch.setattr(limits, "prime_factors",
+                        lambda n, real=limits.prime_factors: calls.append(n) or real(n))
+    t1, t2 = tower(3, 10, 30), tower(3, 10, -30)
+    assert calls == []  # construction factors nothing
+    for _ in range(3):
+        decide_isomorphism(t1, t2)
+        k0_limit(t1), h1_limit(t1)
+        unital_joint_scale_contains(t1, LimitScaleQuery(1, 7))
+    assert sorted(calls) == [30, 30, 30, 30]  # md and |s| of each tower, once
+    assert tower(3, 4, 0).s_primes == () and len(calls) == 4
 
 
 def test_tower_validation_and_constant_signature():
@@ -127,9 +155,12 @@ def test_k0_limit():
 
 
 def test_h1_limit():
-    assert h1_limit(tower(3, 4, 0)) == LocalizedGroup.trivial()
-    assert h1_limit(tower(3, 4, 6)) == LocalizedGroup.localization([2, 3])
-    assert h1_limit(tower(3, 4, -6)) == LocalizedGroup.localization([2, 3])
+    trivial = h1_limit(tower(3, 4, 0))
+    assert trivial == LocalizedGroup(()) and trivial.kind == "trivial"
+    assert trivial.describe() == "0"
+    group = h1_limit(tower(3, 4, 6))
+    assert group == h1_limit(tower(3, 4, -6)) == LocalizedGroup((2, 3))
+    assert group.kind == "localization" and group.describe() == "Z[1/(2*3)]"
     assert h1_limit(tower(3, 12, 30)).primes == (2, 3, 5)
 
 
@@ -368,7 +399,7 @@ def test_capacity_violation_names_level():
     shapes = (CycleAlgebraShape.uniform(3, 1), CycleAlgebraShape.uniform(3, 1))
     embeddings = (Signature(3, (1, 1, 0, 0, 0, 0)),)
     with pytest.raises(InvalidTowerError) as err:
-        finite_level_invariants(ExplicitTower(shapes, embeddings))
+        ExplicitTower(shapes, embeddings)
     assert err.value.level == 2
 
 
@@ -381,6 +412,21 @@ def test_explicit_tower_validation():
     with pytest.raises(InvalidTowerError):
         ExplicitTower((CycleAlgebraShape.uniform(3, 1), CycleAlgebraShape.uniform(3, 1)),
                       (Signature.zero(3),))
+
+
+@pytest.mark.parametrize("index", [0, 1, 2])
+@pytest.mark.parametrize("fault,message", [
+    (lambda sig: Signature.zero(3), "must be nonzero"),
+    (lambda sig: Signature(4, sig.r + (0, 0)), "has m=4"),
+])
+def test_explicit_tower_error_names_the_linked_level(index, fault, message):
+    # the linking signature at index i maps level i + 1 into level i + 2
+    shapes = tuple(CycleAlgebraShape.uniform(3, 2 ** i) for i in range(4))
+    embeddings = [Signature(3, (1, 1, 0, 0, 0, 0))] * 3
+    embeddings[index] = fault(embeddings[index])
+    with pytest.raises(InvalidTowerError, match=f"into level {index + 2} {message}") as err:
+        ExplicitTower(shapes, embeddings)
+    assert err.value.level == index + 2
 
 
 def _as_progression(values):
@@ -443,13 +489,12 @@ def test_unital_scale_closed_form_matches_enumeration(m, top):
 
 def test_check_capacity_exact_beyond_int64():
     # level 16 holds 30^15 > 2^63 per vertex and needs exactly that many
-    prefix = stationary_prefix(tower(3, 10, 30), 16)
-    assert check_capacity(prefix) is None
+    prefix = stationary_prefix(tower(3, 10, 30), 16)  # constructed, so capacity holds
     shapes = list(prefix.shapes)
     mults = shapes[-1].vertex_mults
     shapes[-1] = CycleAlgebraShape(3, (mults[0] - 1,) + mults[1:])
     with pytest.raises(InvalidTowerError) as err:
-        check_capacity(ExplicitTower(tuple(shapes), prefix.embeddings))
+        ExplicitTower(tuple(shapes), prefix.embeddings)
     assert err.value.level == 16
 
 

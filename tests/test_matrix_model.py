@@ -22,7 +22,6 @@ from cyclealg.matrix_model import (
     max_minimal_compression_distance,
     nonregular_embedding_example,
     perturbed_entry_report,
-    realize_multiplicity_one,
     realize_rigid,
 )
 from cyclealg.signatures import (
@@ -155,7 +154,7 @@ def test_distance_examples():
 
 def test_realize_identity_is_identity_map():
     model = basic_model(3)
-    emb = realize_multiplicity_one(enumerate_automorphisms(3)[0], model)
+    emb = realize_rigid(Signature.unit(enumerate_automorphisms(3)[0]), model)
     eye = np.eye(6)
     assert np.allclose(emb.apply(HEXAGON_MASK * 1.0), HEXAGON_MASK * 1.0)
     assert np.allclose(emb.apply(eye), eye)
@@ -163,7 +162,7 @@ def test_realize_identity_is_identity_map():
 
 def test_realize_shift_class_k0():
     theta3 = enumerate_automorphisms(3)[2]
-    emb = realize_multiplicity_one(theta3, basic_model(3))
+    emb = realize_rigid(Signature.unit(theta3), basic_model(3))
     validate_star_extendible(emb)
     assert decompose_signature(emb).r == (0, 0, 1, 0, 0, 0)
     assert np.array_equal(k0_matrix(Signature.unit(theta3)), permutation_matrix(theta3))
@@ -171,7 +170,7 @@ def test_realize_shift_class_k0():
 
 def test_realize_reflection_has_negative_h():
     theta2 = enumerate_automorphisms(3)[1]
-    emb = realize_multiplicity_one(theta2, basic_model(3))
+    emb = realize_rigid(Signature.unit(theta2), basic_model(3))
     sig = decompose_signature(emb)
     assert sig.r == (0, 1, 0, 0, 0, 0)
 
@@ -234,19 +233,19 @@ def test_two_identity_copies():
 def test_compose_embeddings_identity_and_classes():
     unit = basic_model(3)
     autos = enumerate_automorphisms(3)
-    ident = realize_multiplicity_one(autos[0], unit)
-    shift = realize_multiplicity_one(autos[2], unit, source=unit)
+    ident = realize_rigid(Signature.unit(autos[0]), unit)
+    shift = realize_rigid(Signature.unit(autos[2]), unit, source=unit)
     comp = compose_embeddings(ident, shift)
     assert decompose_signature(comp).r == (0, 0, 1, 0, 0, 0)
     # shift then shift lands in the class labeled 5
-    comp = compose_embeddings(realize_multiplicity_one(autos[2], unit), shift)
+    comp = compose_embeddings(realize_rigid(Signature.unit(autos[2]), unit), shift)
     assert decompose_signature(comp).r == (0, 0, 0, 0, 1, 0)
     # reflection twice is the identity class
-    refl = realize_multiplicity_one(autos[1], unit)
-    refl2 = realize_multiplicity_one(autos[1], unit, source=unit)
+    refl = realize_rigid(Signature.unit(autos[1]), unit)
+    refl2 = realize_rigid(Signature.unit(autos[1]), unit, source=unit)
     assert decompose_signature(compose_embeddings(refl, refl2)).r == (1, 0, 0, 0, 0, 0)
     with pytest.raises(IncompatibleError):
-        compose_embeddings(shift, realize_multiplicity_one(autos[0], basic_model(4)))
+        compose_embeddings(shift, realize_rigid(Signature.unit(autos[0]), basic_model(4)))
 
 
 def test_composition_oracle_pins_convolution_orientation():
@@ -256,7 +255,7 @@ def test_composition_oracle_pins_convolution_orientation():
 
 def test_decompose_rejects_non_standard_form():
     unit = basic_model(3)
-    emb = realize_multiplicity_one(enumerate_automorphisms(3)[0], unit)
+    emb = realize_rigid(Signature.unit(enumerate_automorphisms(3)[0]), unit)
     bad = dict(emb.unit_images)
     bad[(0, 0)] = ((0, 0, 0.5 + 0j),)
     from cyclealg.matrix_model import ConcreteEmbedding

@@ -75,6 +75,25 @@ def test_signature_validation():
         Signature(3, (1, -1, 0, 0, 0, 0))
 
 
+@pytest.mark.parametrize("entry", [True, False, 1.7, 1.0, "1", None])
+def test_signature_and_shape_refuse_non_integer_entries(entry):
+    # int() would have read 1.7 as 1 and True as 1
+    with pytest.raises(InvalidIndexError, match="signature entry must be an integer"):
+        Signature(3, (entry, 0, 0, 0, 0, 1))
+    with pytest.raises(InvalidIndexError, match="vertex multiplicity must be an integer"):
+        CycleAlgebraShape(3, (2,) * 5 + (entry,))
+    with pytest.raises(InvalidIndexError, match="cycle half-length must be an integer"):
+        Signature(entry, (0,) * 6)
+
+
+def test_numpy_integers_become_python_ints():
+    sig = Signature(np.int64(3), np.array([2, 0, 1, 0, 0, 5], dtype=np.int64))
+    shape = CycleAlgebraShape(np.int32(3), np.full(6, 4, dtype=np.uint16))
+    assert sig.r == (2, 0, 1, 0, 0, 5) and shape.vertex_mults == (4,) * 6
+    values = (sig.m, shape.m) + sig.r + shape.vertex_mults
+    assert all(type(x) is int for x in values)
+
+
 def test_k0_identity_class():
     assert np.array_equal(k0_matrix(sig3(1, 0, 0, 0, 0, 0)), np.eye(6, dtype=np.int64))
 
@@ -271,6 +290,32 @@ def test_fibre_bound():
 def test_roundtrip_exhaustive_small():
     report = k0h1_roundtrip_report(3, max_entry=1)
     assert report["ok"] and report["count"] == 64
+
+
+@pytest.mark.parametrize("m,max_entry,refused", [
+    (8, 1, False), (4, 3, False),  # exactly 2^16 signatures
+    (9, 1, True), (4, 4, True), (3, 6, True)])
+def test_roundtrip_bound(monkeypatch, m, max_entry, refused):
+    # the bound is decided before the enumeration starts, which is stubbed out here
+    import cyclealg.signatures as signatures
+    monkeypatch.setattr(signatures, "signatures_with_entries_at_most", lambda m, bound: ())
+    if refused:
+        with pytest.raises(EnumerationBoundError, match="more than the bound 2"):
+            k0h1_roundtrip_report(m, max_entry)
+    else:
+        assert k0h1_roundtrip_report(m, max_entry)["ok"]
+
+
+def test_roundtrip_bound_for_long_cycles_in_bounded_memory():
+    # 2^(2m) at m = 10^8 would be a 25 MB integer; the refusal takes no power
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnumerationBoundError):
+            k0h1_roundtrip_report(10 ** 8, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 # -- homology range ---------------------------------------------------------
