@@ -15,6 +15,7 @@ embedding of the 4-cycle algebra.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -32,6 +33,7 @@ from .cycle_core import (
 from .errors import (
     CapacityError,
     DecompositionError,
+    EnumerationBoundError,
     IncompatibleError,
     InvalidIndexError,
     UnsupportedInputError,
@@ -45,6 +47,12 @@ from .signatures import (
 )
 
 _PIECE_TOL = 1e-9
+#: Most complex entries held by one stacked array of the harness and of the
+#: local-regularity check: the harness runs max(1, 2^14 // N^2) trials at a time.
+_STACK_ENTRIES = 1 << 14
+#: Largest half-length of the composition oracle, whose (2m)^2 realize and
+#: decompose pairs cost O(m^2) each: about 1.3 s at m = 16, minutes at m = 64.
+MAX_ORACLE_HALF_LENGTH = 16
 
 
 @dataclass(frozen=True)
@@ -103,32 +111,47 @@ class MatrixAlgebraModel:
 
 def basic_model(m) -> MatrixAlgebraModel:
     """The basic 2m-cycle algebra in M_{2m} (all vertex multiplicities one)."""
-    check_half_length(m)
+    return _basic_model(check_half_length(m))
+
+
+@functools.lru_cache(maxsize=None)
+def _basic_model(m) -> MatrixAlgebraModel:
+    # Cached: the harness asks for it on every trial, and building it each
+    # time raised the harness's peak RSS by about 0.9 MB.
     return MatrixAlgebraModel(m, (1,) * (2 * m))
 
 
-def distance_to_partial_isometry(x) -> float:
-    """Operator-norm distance to the nearest partial isometry.
+def _defects(stack) -> np.ndarray:
+    """Distance to the nearest partial isometry of every matrix of a stack (..., r, c).
 
-    Snapping each singular value to the nearer of {0, 1} is optimal, so the
-    distance is max over singular values of min(sigma, |sigma - 1|).
+    One SVD call for the whole stack.  Snapping each singular value to the
+    nearer of {0, 1} is optimal, so a matrix's distance is the max over its
+    singular values of min(sigma, |sigma - 1|).
     """
+    s = np.linalg.svd(stack, compute_uv=False)
+    return np.minimum(s, np.abs(s - 1.0)).max(axis=-1)
+
+
+def distance_to_partial_isometry(x) -> float:
+    """Operator-norm distance to the nearest partial isometry."""
     x = np.asarray(x, dtype=complex)
     if x.size == 0:
         return 0.0
-    s = np.linalg.svd(x, compute_uv=False)
-    return float(np.max(np.minimum(s, np.abs(s - 1.0))))
+    return float(_defects(x))
 
 
-def _central_subsets(two_m):
-    for mask in range(1, 1 << two_m):
-        yield [v + 1 for v in range(two_m) if mask >> v & 1]
-
-
-def _compression(x, model, row_vertices, col_vertices):
-    rows = [i for v in row_vertices for i in model.block_indices(v)]
-    cols = [j for v in col_vertices for j in model.block_indices(v)]
-    return x[np.ix_(rows, cols)]
+def _block_defects(x, model: MatrixAlgebraModel, pairs) -> np.ndarray:
+    """For each matrix of the stack x (c, N, N), the largest defect of its vertex
+    blocks (i, j) over the pairs; one stacked SVD per block shape."""
+    by_shape = {}
+    for (i, j) in pairs:
+        shape = (model.vertex_mults[i - 1], model.vertex_mults[j - 1])
+        by_shape.setdefault(shape, []).append((i, j))
+    worst = np.zeros(len(x))
+    for group in by_shape.values():
+        blocks = np.stack([x[:, model.block(i), model.block(j)] for (i, j) in group], axis=1)
+        worst = np.maximum(worst, _defects(blocks).max(axis=1))
+    return worst
 
 
 def locally_regular_check(x, model: MatrixAlgebraModel, tol=1e-6) -> bool:
@@ -136,7 +159,8 @@ def locally_regular_check(x, model: MatrixAlgebraModel, tol=1e-6) -> bool:
 
     p and q run over sums of vertex-block identities (the central projections
     of the diagonal part); all 2^{2m} x 2^{2m} pairs are checked, so the
-    check is refused beyond 2m = 12 vertices.
+    check is refused beyond 2m = 12 vertices.  Compressions of one shape are
+    checked together, at most ``_STACK_ENTRIES`` entries per SVD call.
     """
     if tol <= 0:
         raise InvalidIndexError(f"tolerance must be positive, got {tol}")
@@ -147,25 +171,35 @@ def locally_regular_check(x, model: MatrixAlgebraModel, tol=1e-6) -> bool:
     n = model.dimension
     if x.shape != (n, n):
         raise InvalidIndexError(f"expected a {n} x {n} matrix, got shape {x.shape}")
-    for p in _central_subsets(two_m):
-        for q in _central_subsets(two_m):
-            if distance_to_partial_isometry(_compression(x, model, p, q)) > tol:
-                return False
+    # flat indices of every nonempty sum of vertex blocks, grouped by size
+    by_size = {}
+    for mask in range(1, 1 << two_m):
+        idx = [i for v in range(1, two_m + 1) if mask >> (v - 1) & 1
+               for i in model.block_indices(v)]
+        by_size.setdefault(len(idx), []).append(idx)
+    groups = [np.array(g) for g in by_size.values()]
+    for rows in groups:
+        for cols in groups:
+            count = len(rows) * len(cols)
+            step = max(1, _STACK_ENTRIES // (rows.shape[1] * cols.shape[1]))
+            for start in range(0, count, step):
+                k = np.arange(start, min(count, start + step))
+                blocks = x[rows[k // len(cols)][:, :, None], cols[k % len(cols)][:, None, :]]
+                if (_defects(blocks) > tol).any():
+                    return False
     return True
 
 
-def _max_block_distance(x, model: MatrixAlgebraModel, pairs) -> float:
-    """Largest partial-isometry defect of the vertex blocks (i, j) of x over the pairs."""
-    worst = 0.0
-    for (i, j) in pairs:
-        worst = max(worst, distance_to_partial_isometry(x[model.block(i), model.block(j)]))
-    return worst
+def _max_block_entry_deviation(a, model: MatrixAlgebraModel) -> float:
+    """Largest partial-isometry defect of the supported vertex blocks of a."""
+    return float(_block_defects(a[None], model, model.supported_block_pairs())[0])
 
 
 def max_minimal_compression_distance(x, model: MatrixAlgebraModel) -> float:
     """Largest partial-isometry defect over pairs of minimal central projections."""
     vertices = range(1, 2 * model.m + 1)
-    return _max_block_distance(np.asarray(x, dtype=complex), model, product(vertices, vertices))
+    x = np.asarray(x, dtype=complex)
+    return float(_block_defects(x[None], model, product(vertices, vertices))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -211,24 +245,19 @@ class ConcreteEmbedding:
         return out
 
 
-def realize_rigid(sig: Signature, target: MatrixAlgebraModel,
-                  source: MatrixAlgebraModel = None) -> ConcreteEmbedding:
-    """Block-diagonal direct sum of multiplicity-one embeddings with the given signature.
+def _slot_maps(sig: Signature, source: MatrixAlgebraModel, target: MatrixAlgebraModel):
+    """Per summand of the signature, the target flat index of every source flat index.
 
     Summands are placed in label order, each copy of an automorphism theta
     taking the next free slots: source slot (v, p) goes to target slot
-    (theta(v), used + p).  A matrix unit maps to one matrix unit per summand,
-    listed in summand order.
+    (theta(v), used + p).
     """
-    if sig.is_zero:
-        raise UnsupportedInputError("the zero signature does not define an embedding")
-    source = basic_model(sig.m) if source is None else source
-    if sig.m != source.m or sig.m != target.m:
-        raise IncompatibleError("signature, source and target must share the cycle length")
-
     used = [0] * (2 * sig.m + 1)  # slots taken so far at each target vertex
-    slot_maps = []  # per summand: target flat index of every source flat index
-    for theta, mult in zip(enumerate_automorphisms(sig.m), sig.r):
+    slot_maps = []
+    for index, mult in enumerate(sig.r, start=1):
+        if not mult:
+            continue
+        theta = DihedralElement.from_index(sig.m, index)
         for _ in range(mult):
             slot_map = []
             for v in range(1, 2 * sig.m + 1):
@@ -242,7 +271,23 @@ def realize_rigid(sig: Signature, target: MatrixAlgebraModel,
                 slot_map.extend(range(target.starts[w - 1] + used[w], target.starts[w - 1] + need))
                 used[w] = need
             slot_maps.append(slot_map)
+    return slot_maps
 
+
+def realize_rigid(sig: Signature, target: MatrixAlgebraModel,
+                  source: MatrixAlgebraModel = None) -> ConcreteEmbedding:
+    """Block-diagonal direct sum of multiplicity-one embeddings with the given signature.
+
+    Summands are placed by :func:`_slot_maps`; a matrix unit maps to one
+    matrix unit per summand, listed in summand order.
+    """
+    if sig.is_zero:
+        raise UnsupportedInputError("the zero signature does not define an embedding")
+    source = basic_model(sig.m) if source is None else source
+    if sig.m != source.m or sig.m != target.m:
+        raise IncompatibleError("signature, source and target must share the cycle length")
+
+    slot_maps = _slot_maps(sig, source, target)
     unit_images = {}
     for (i, j) in source.supported_block_pairs():
         for r in source.block_indices(i):
@@ -380,17 +425,6 @@ def _random_composition(rng, total, parts):
     return tuple(int(x) for x in rng.multinomial(total, [1.0 / parts] * parts))
 
 
-def _random_block_unitary(model: MatrixAlgebraModel, rng) -> np.ndarray:
-    u = np.zeros((model.dimension, model.dimension), dtype=complex)
-    for v in range(1, 2 * model.m + 1):
-        k = model.vertex_mults[v - 1]
-        z = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
-        q, r = np.linalg.qr(z)
-        q = q * (np.diag(r) / np.abs(np.diag(r)))
-        u[model.block(v), model.block(v)] = q
-    return u
-
-
 def random_source_partial_isometry(m, rng) -> np.ndarray:
     """A random partial isometry of the basic algebra with projections in it.
 
@@ -414,26 +448,67 @@ def random_source_partial_isometry(m, rng) -> np.ndarray:
     return x
 
 
+def _draw_trial(model: MatrixAlgebraModel, rng):
+    """One trial's random data, in draw order: a nonzero signature that fits the
+    model, a source partial isometry, then the block-unitary normals (for each
+    vertex of multiplicity k, k^2 real parts, then k^2 imaginary parts)."""
+    m = model.m
+    bound = min(model.vertex_mults)
+    sig = Signature.zero(m)
+    while sig.is_zero:
+        sig = Signature(m, _random_composition(rng, int(rng.integers(1, bound + 1)), 2 * m))
+    x = random_source_partial_isometry(m, rng)
+    return sig, x, rng.standard_normal(2 * sum(k * k for k in model.vertex_mults))
+
+
+def _block_unitaries(model: MatrixAlgebraModel, normals) -> np.ndarray:
+    """Block-diagonal unitaries (c, N, N) from stacked normals (c, 2 sum k^2).
+
+    Each vertex block is the Q factor of its normals, phase-fixed so that R has
+    a positive diagonal; one QR call per distinct vertex multiplicity.
+    """
+    c, n = len(normals), model.dimension
+    offsets = list(accumulate((2 * k * k for k in model.vertex_mults), initial=0))
+    by_size = {}
+    for v, k in enumerate(model.vertex_mults, start=1):
+        by_size.setdefault(k, []).append(v)
+    u = np.zeros((c, n, n), dtype=complex)
+    for k, vertices in by_size.items():
+        parts = [normals[:, offsets[v - 1]:offsets[v]].reshape(c, 2, k, k) for v in vertices]
+        z = np.stack(parts, axis=1)  # (c, vertices, re/im, k, k)
+        q, r = np.linalg.qr(z[:, :, 0] + 1j * z[:, :, 1])
+        d = np.diagonal(r, axis1=-2, axis2=-1)
+        q = q * (d / np.abs(d))[..., None, :]
+        for g, v in enumerate(vertices):
+            u[:, model.block(v), model.block(v)] = q[:, g]
+    return u
+
+
+def _model_matrices(model: MatrixAlgebraModel, draws) -> np.ndarray:
+    """U A U^* for each drawn trial, stacked (c, N, N).
+
+    A places the source partial isometry by the signature's slot maps, one
+    copy per summand; U is the block-diagonal unitary of the trial's normals.
+    """
+    n, source = model.dimension, basic_model(model.m)
+    a = np.zeros((len(draws), n, n), dtype=complex)
+    for t, (sig, x, _) in enumerate(draws):
+        for s in _slot_maps(sig, source, model):
+            a[t][np.ix_(s, s)] += x
+    u = _block_unitaries(model, np.stack([normals for (_, _, normals) in draws]))
+    return u @ a @ u.conj().transpose(0, 2, 1)
+
+
 def random_model_partial_isometry(model: MatrixAlgebraModel, rng):
     """A partial isometry in the model with initial and final projections in it.
 
     Built as the image of a random partial isometry of the basic algebra
     under a random rigid embedding, conjugated by a random block-diagonal
     unitary; the entrywise partial-isometry property is exact for these.
+    This is one trial of the harness, with the same draws and arithmetic.
     """
-    m = model.m
-    bound = min(model.vertex_mults)
-    sig = Signature.zero(m)
-    while sig.is_zero:
-        sig = Signature(m, _random_composition(rng, int(rng.integers(1, bound + 1)), 2 * m))
-    emb = realize_rigid(sig, model)
-    a = emb.apply(random_source_partial_isometry(m, rng))
-    u = _random_block_unitary(model, rng)
-    return u @ a @ u.conj().T, sig
-
-
-def _max_block_entry_deviation(a, model: MatrixAlgebraModel) -> float:
-    return _max_block_distance(a, model, model.supported_block_pairs())
+    draw = _draw_trial(model, rng)
+    return _model_matrices(model, [draw])[0], draw[0]
 
 
 def _harness_trials(model: MatrixAlgebraModel, trials, seed, delta=0.0):
@@ -441,6 +516,8 @@ def _harness_trials(model: MatrixAlgebraModel, trials, seed, delta=0.0):
 
     Each trial is a random model partial isometry; delta > 0 adds a random
     perturbation of operator norm delta inside the support before measuring.
+    Trials run max(1, _STACK_ENTRIES // N^2) at a time: each trial's draws are
+    taken in turn from one generator, then the numerics run stacked.
     """
     if model.m < 3:
         raise InvalidIndexError(
@@ -451,15 +528,25 @@ def _harness_trials(model: MatrixAlgebraModel, trials, seed, delta=0.0):
     if trials < 1:
         raise InvalidIndexError(f"trials must be at least 1, got {trials}")
     rng = np.random.default_rng(seed)
+    n = model.dimension
     mask = model.support_mask() if delta > 0 else None
-    for t in range(trials):
-        a, sig = random_model_partial_isometry(model, rng)
+    pairs = model.supported_block_pairs()
+    chunk = max(1, _STACK_ENTRIES // (n * n))
+    for first in range(0, trials, chunk):
+        draws, noise = [], []
+        for _ in range(min(chunk, trials - first)):
+            draws.append(_draw_trial(model, rng))
+            if delta > 0:
+                noise.append(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        a = _model_matrices(model, draws)
         if delta > 0:
-            e = rng.standard_normal(a.shape) + 1j * rng.standard_normal(a.shape)
-            e[~mask] = 0.0
-            e *= delta / np.linalg.norm(e, 2)
+            e = np.stack(noise)
+            e[:, ~mask] = 0.0
+            e *= (delta / np.linalg.svd(e, compute_uv=False).max(axis=-1))[:, None, None]
             a = a + e
-        yield t, sig, _max_block_entry_deviation(a, model)
+        for t, (sig, _, _), dev in zip(range(first, trials), draws,
+                                       _block_defects(a, model, pairs)):
+            yield t, sig, float(dev)
 
 
 def entrywise_partial_isometry_report(model: MatrixAlgebraModel, trials=100,
@@ -521,6 +608,10 @@ def composition_oracle_report(m) -> dict:
     """Compose all ordered pairs of multiplicity-one embeddings in the matrix model
     and compare the decomposed class against the group-ring convolution."""
     check_half_length(m, minimum=3)
+    if m > MAX_ORACLE_HALF_LENGTH:
+        raise EnumerationBoundError(
+            f"the composition oracle checks (2m)^2 pairs at O(m^2) each; "
+            f"m={m} exceeds the bound {MAX_ORACLE_HALF_LENGTH}")
     unit = basic_model(m)
     autos = enumerate_automorphisms(m)
     units = unit_signatures(m)

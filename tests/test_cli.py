@@ -18,6 +18,7 @@ from cyclealg.limits import (
     stationary_prefix,
     unital_joint_scale_contains,
 )
+from cyclealg.matrix_model import MAX_ORACLE_HALF_LENGTH
 from cyclealg.signatures import h1, k0_is_rigid_type, k0_matrix, signatures_with_entries_at_most
 
 STATIONARY = {"schema_version": 1, "m": 3, "mode": "stationary_matroid", "d": 4, "s": 6}
@@ -532,6 +533,18 @@ def test_verify_refuses_non_finite_floats(capsys, flag, target, name, value):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {name} must be finite")
+
+
+def test_verify_composition_oracle_refuses_beyond_its_bound(capsys):
+    # the oracle's cost grows like m^4; the bound is named in the refusal
+    bound = MAX_ORACLE_HALF_LENGTH
+    assert main(["verify", "composition-oracle", "--m", str(bound + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: the composition oracle checks (2m)^2 pairs at O(m^2) "
+                            f"each; m={bound + 1} exceeds the bound {bound}\n")
+    assert main(["verify", "composition-oracle", "--m", str(bound), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["pairs"] == (2 * bound) ** 2
 
 
 @pytest.mark.parametrize("max_entry", ["0", "-1"])
