@@ -325,9 +325,7 @@ def cmd_signature(args) -> int:
     else:  # fromk0h1
         if args.m is None or args.k0 is None or args.h is None:
             raise SpecValidationError("fromk0h1 needs --m, --k0 and --h", field="fromk0h1")
-        if args.m < 3:
-            raise SpecValidationError(f"m must be an integer >= 3, got {args.m}", field="m")
-        matrix = _parse_matrix(args.k0, args.m)
+        matrix = _parse_matrix(args.k0, _half_length(args.m, "m"))
         try:
             sig = signature_from_k0h1(matrix, args.h)
             result = {"realizable": True, "signature": list(sig.r),

@@ -13,8 +13,8 @@ Limit invariants computed here:
   Q attached to the generalised integer (md)^inf, order unit 1 in each,
 * the limit homology group: trivial for s = 0, else the localization
   Z[1/s^inf],
-* the homology part of the unital joint scale, decided exactly for query
-  elements k/(md)^t,
+* the homology part of the unital joint scale, decided in closed form for
+  query elements k/(md)^t, with the realizing level as certificate,
 * the star-extendible isomorphism verdict with a named witness.
 
 Everything is exact (integers and fractions).
@@ -225,94 +225,64 @@ class ScaleMembership:
         return self.contained
 
 
+def _coprime_part(md, s) -> int:
+    """The largest divisor of md coprime to s (s != 0)."""
+    c, g = md, math.gcd(md, s)
+    while g != 1:
+        c //= g
+        g = math.gcd(c, g)
+    return c
+
+
 def unital_joint_scale_contains(tower: StationaryMatroidTower,
                                 query: LimitScaleQuery) -> ScaleMembership:
     """Decide membership of 1/m (+) 1/m (+) h, h = k/(md)^t, in the unital joint scale.
 
     A unital rigid embedding into the level-T algebra (vertex multiplicities
     (md)^T) realizes exactly the homology values k_T with |k_T| <= (md)^T and
-    k_T = (md)^T mod 2, and contributes the limit element h = k_T / s^T.  So
-    h is in the scale iff some rescaling h * s^T is an integer meeting the
-    bound and the congruence.  For extreme towers (|s| = md) the bound pins
-    |h| <= 1; for nonextreme towers it is eventually free, leaving the
-    congruence restriction only; h must also lie in the limit group.  The
-    search over T is finite: the congruence state mod 2m is eventually
-    periodic, and a repeated state without success is a certified failure.
+    k_T = (md)^T mod 2, and contributes the limit element h = k_T / s^T.  With
+    c the largest divisor of md coprime to s, some level realizes h iff c^t
+    divides k (h lies in Z[1/s]), |k| <= (md)^t when the tower is extreme, and
+    k is odd when md is odd.  The certificate is the first such level T with
+    its value h * s^T.
     """
-    md = tower.level_multiplier
-    two_m = 2 * tower.m
-    if tower.s == 0:
-        if query.k == 0:
-            return ScaleMembership(True, (query.t, md ** query.t),
+    md, s, k, t = tower.level_multiplier, tower.s, query.k, query.t
+    if s == 0:
+        if k == 0:
+            return ScaleMembership(True, (t, md ** t),
                                    "homology group is trivial; every unital embedding realizes h = 0")
         return ScaleMembership(False, None, "homology group is trivial; only h = 0 occurs")
-
-    s = tower.s
-    h = Fraction(query.k, md ** query.t)
-
-    rem = h.denominator
-    while rem != 1:
-        g = math.gcd(rem, abs(s))
-        if g == 1:
-            return ScaleMembership(False, None,
-                                   "h lies outside the limit homology group "
-                                   f"{h1_limit(tower).describe()}")
-        rem //= g
-
-    if is_extreme(tower) and abs(h) > 1:
+    if k % _coprime_part(md, s) ** t:
+        return ScaleMembership(False, None,
+                               f"h lies outside the limit homology group Z[1/{abs(s)}]")
+    if is_extreme(tower) and abs(k) > md ** t:
         return ScaleMembership(False, None,
                                "extreme tower: the homology scale is confined to the "
                                "symmetric interval [-1, 1]")
-
-    # Advance to the first level where h * s^T is integral and the capacity
-    # bound |h * s^T| <= (md)^T holds; both conditions persist from there on.
-    level = 0
-    scaled = h
-    while scaled.denominator != 1 or abs(scaled) > Fraction(md) ** level:
+    if md % 2 and k % 2 == 0:
+        return ScaleMembership(False, None,
+                               "congruence with the level parity fails at every level: "
+                               "md is odd and k is even")
+    level, scaled = 0, Fraction(k, md ** t)
+    while scaled.denominator != 1 or abs(scaled) > md ** level or (scaled - md ** level) % 2:
         scaled *= s
         level += 1
-
-    seen = {}
-    for _ in range((two_m * two_m) + 2):
-        k_level = int(scaled)
-        if (k_level - md ** level) % 2 == 0:
-            return ScaleMembership(True, (level, k_level),
-                                   f"realized by a unital embedding at level exponent {level}")
-        state = (k_level % two_m, pow(md, level, two_m))
-        if state in seen:
-            # The state transition (k, c) -> (k*s, c*md) mod 2m is a function
-            # of the state, so a repeat certifies a period with no success in
-            # it; check the detected period explicitly on both components.
-            period = level - seen[state]
-            assert pow(md, level + period, two_m) == state[1]
-            assert (state[0] * pow(s, period, two_m)) % two_m == state[0]
-            return ScaleMembership(False, None,
-                                   "congruence with the level parity fails at every level "
-                                   f"(state period {period} certified)")
-        seen[state] = level
-        scaled *= s
-        level += 1
-    raise AssertionError("congruence search failed to reach a periodic state")
+    return ScaleMembership(True, (level, int(scaled)),
+                           f"realized by a unital embedding at level exponent {level}")
 
 
 def unital_scale_numerators(tower: StationaryMatroidTower) -> range:
     """The numerators k with 1/m (+) 1/m (+) k/(md) in the unital joint scale.
 
-    The closed form of ``unital_joint_scale_contains`` at t = 1.  Only k = 0
-    occurs for s = 0.  Otherwise let c be the largest divisor of md coprime
-    to s: h = k/(md) lies in Z[1/s] iff c | k.  The capacity bound
-    |h * s^T| <= (md)^T then holds at every level, since |h| <= 1 and
-    |s| <= md, and as s = md mod 2 the parity condition is vacuous for even
-    md and forces k/c odd for odd md.  So the set is one progression over
-    [-md, md] of step c or 2c.
+    ``unital_joint_scale_contains`` at t = 1, as one progression over
+    [-md, md]: only k = 0 for s = 0, and otherwise the multiples of c, the
+    largest divisor of md coprime to s, that are odd when md is odd, so of
+    step c or 2c.  The interval bound of extreme towers cuts nothing here.
     """
     md = tower.level_multiplier
     if tower.s == 0:
         return range(0, 1)
-    c, g = md, math.gcd(md, tower.s)
-    while g != 1:
-        c //= g
-        g = math.gcd(c, g)
+    c = _coprime_part(md, tower.s)
     return range(-md, md + 1, c * (1 + md % 2))
 
 

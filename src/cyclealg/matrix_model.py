@@ -190,11 +190,6 @@ def locally_regular_check(x, model: MatrixAlgebraModel, tol=1e-6) -> bool:
     return True
 
 
-def _max_block_entry_deviation(a, model: MatrixAlgebraModel) -> float:
-    """Largest partial-isometry defect of the supported vertex blocks of a."""
-    return float(_block_defects(a[None], model, model.supported_block_pairs())[0])
-
-
 def max_minimal_compression_distance(x, model: MatrixAlgebraModel) -> float:
     """Largest partial-isometry defect over pairs of minimal central projections."""
     vertices = range(1, 2 * model.m + 1)

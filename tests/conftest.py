@@ -2,13 +2,15 @@
 
 These deliberately avoid the code paths they are used to check: permutation
 composition works on raw image tuples, and joint-scale membership is decided
-by enumerating unital signatures level by level.
+by enumerating unital signatures level by level, or by searching levels for a
+certified congruence state period.
 """
 
 import math
 from fractions import Fraction
 from functools import lru_cache
 
+from cyclealg.limits import ScaleMembership, is_extreme
 from cyclealg.signatures import CycleAlgebraShape, joint_scale_finite
 
 # Largest total multiplicity for which the m=3 signature enumeration is run in
@@ -73,3 +75,66 @@ def brute_scale_contains(tower, k, t, extra_depth=6):
         if unital_h1_contains(tower.m, int(scaled), md ** level):
             return True
     return False
+
+
+def loop_scale_contains(tower, query):
+    """Unital joint-scale membership of k/(md)^t by a search over levels.
+
+    The element h = k/(md)^t is in the scale iff some h * s^T is an integer
+    k_T with |k_T| <= (md)^T and k_T = (md)^T mod 2.  Past the first level
+    where h * s^T is integral and within the bound, both persist, and the
+    parity depends only on the state (k_T mod 2m, (md)^T mod 2m), which is
+    eventually periodic; a repeated state without success certifies failure.
+    Returns a ``ScaleMembership`` whose certificate is the first realizing
+    (T, k_T).
+    """
+    md = tower.level_multiplier
+    two_m = 2 * tower.m
+    if tower.s == 0:
+        if query.k == 0:
+            return ScaleMembership(True, (query.t, md ** query.t),
+                                   "homology group is trivial; every unital embedding realizes h = 0")
+        return ScaleMembership(False, None, "homology group is trivial; only h = 0 occurs")
+
+    s = tower.s
+    h = Fraction(query.k, md ** query.t)
+
+    rem = h.denominator
+    while rem != 1:
+        g = math.gcd(rem, abs(s))
+        if g == 1:
+            return ScaleMembership(False, None, "h lies outside the limit homology group")
+        rem //= g
+
+    if is_extreme(tower) and abs(h) > 1:
+        return ScaleMembership(False, None,
+                               "extreme tower: the homology scale is confined to the "
+                               "symmetric interval [-1, 1]")
+
+    level = 0
+    scaled = h
+    while scaled.denominator != 1 or abs(scaled) > Fraction(md) ** level:
+        scaled *= s
+        level += 1
+
+    seen = {}
+    for _ in range((two_m * two_m) + 2):
+        k_level = int(scaled)
+        if (k_level - md ** level) % 2 == 0:
+            return ScaleMembership(True, (level, k_level),
+                                   f"realized by a unital embedding at level exponent {level}")
+        state = (k_level % two_m, pow(md, level, two_m))
+        if state in seen:
+            # The state transition (k, c) -> (k*s, c*md) mod 2m is a function
+            # of the state, so a repeat certifies a period with no success in
+            # it; check the detected period explicitly on both components.
+            period = level - seen[state]
+            assert pow(md, level + period, two_m) == state[1]
+            assert (state[0] * pow(s, period, two_m)) % two_m == state[0]
+            return ScaleMembership(False, None,
+                                   "congruence with the level parity fails at every level "
+                                   f"(state period {period} certified)")
+        seen[state] = level
+        scaled *= s
+        level += 1
+    raise AssertionError("congruence search failed to reach a periodic state")

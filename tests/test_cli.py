@@ -8,16 +8,12 @@ import sys
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from conftest import loop_scale_contains
 
 import cyclealg.limits as limits
 from cyclealg.cli import MAX_HALF_LENGTH, main, parse_tower_spec
 from cyclealg.errors import SpecValidationError
-from cyclealg.limits import (
-    LimitScaleQuery,
-    StationaryMatroidTower,
-    stationary_prefix,
-    unital_joint_scale_contains,
-)
+from cyclealg.limits import LimitScaleQuery, StationaryMatroidTower, stationary_prefix
 from cyclealg.matrix_model import MAX_ORACLE_HALF_LENGTH
 from cyclealg.signatures import h1, k0_is_rigid_type, k0_matrix, signatures_with_entries_at_most
 
@@ -247,7 +243,7 @@ def test_invariants_sample_matches_membership_loop(tmp_path, capsys, m, d, s):
     t = StationaryMatroidTower(m, d, s)
     assert sample["contained"] == [
         k for k in range(-m * d, m * d + 1)
-        if unital_joint_scale_contains(t, LimitScaleQuery(k, 1))]
+        if loop_scale_contains(t, LimitScaleQuery(k, 1))]
 
 
 def _run_invariants_bounded(tmp_path, d, s):
@@ -465,9 +461,18 @@ def test_signature_fromk0h1_refuses_small_m(capsys):
                  "1,0,0,0;0,1,0,0;0,0,1,0;0,0,0,1", "--h", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error (m): ")
+    assert captured.err == "error (m): cycle half-length must be >= 3, got 2\n"
     assert main(["signature", "fromk0h1", "--m", "1", "--k0", "not a matrix", "--h", "0"]) == 2
     assert capsys.readouterr().err.startswith("error (m): ")
+
+
+def test_signature_fromk0h1_refuses_m_above_the_bound(capsys):
+    # the bound of every other m, before the 130 x 130 matrix is parsed
+    identity = _rows([[int(i == j) for j in range(130)] for i in range(130)])
+    assert main(["signature", "fromk0h1", "--m", "65", "--k0", identity, "--h", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error (m): cycle half-length m=65 exceeds the bound 64\n"
 
 
 def test_signature_malformed_exits_2(capsys):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import (
     brute_scale_contains,
+    loop_scale_contains,
     unital_h1_contains_split,
     unital_h1_set_full,
 )
@@ -182,7 +183,8 @@ def test_scale_membership_examples():
     out = unital_joint_scale_contains(t, LimitScaleQuery(5, 1))
     assert not out and "interval" in out.reason
     # parity obstruction: even numerators never occur when md is odd
-    assert not unital_joint_scale_contains(t, LimitScaleQuery(2, 1))
+    out = unital_joint_scale_contains(t, LimitScaleQuery(2, 1))
+    assert not out and "parity" in out.reason
     assert not unital_joint_scale_contains(t, LimitScaleQuery(0, 1))
     # nonextreme even d: everything with admissible denominator is in scale
     t = tower(3, 4, 6)
@@ -213,8 +215,7 @@ def test_admissible_s_is_decided_without_enumeration():
 
 def _membership_loop(t):
     md = t.level_multiplier
-    return [k for k in range(-md, md + 1)
-            if unital_joint_scale_contains(t, LimitScaleQuery(k, 1))]
+    return [k for k in range(-md, md + 1) if loop_scale_contains(t, LimitScaleQuery(k, 1))]
 
 
 def test_unital_scale_numerators_match_membership_exhaustive():
@@ -238,6 +239,68 @@ def test_unital_scale_numerators_match_membership_large_d(m, d, data):
     k = data.draw(st.one_of(st.integers(-md, md),
                             st.integers(0, len(numerators) - 1).map(numerators.__getitem__)))
     assert (k in numerators) == bool(unital_joint_scale_contains(t, LimitScaleQuery(k, 1)))
+
+
+def _coprime_part(md, s):
+    """The largest divisor of md coprime to s: md without its gcd with a high power of s."""
+    return md // math.gcd(md, s ** md.bit_length())
+
+
+def _assert_matches_loop(t, query):
+    got, want = unital_joint_scale_contains(t, query), loop_scale_contains(t, query)
+    assert (got.contained, got.certificate) == (want.contained, want.certificate), (t, query)
+
+
+def test_scale_membership_matches_loop_oracle_exhaustive():
+    # decision and certificate, on both sides of every condition's boundary
+    for m, top in ((3, 8), (4, 5), (5, 4), (6, 3)):
+        for d in range(1, top + 1):
+            md = m * d
+            for s in enumerate_S(m, d):
+                t = tower(m, d, s)
+                for tt in (1, 2):
+                    bound = md ** tt + 2 * m
+                    for k in range(-bound, bound + 1):
+                        _assert_matches_loop(t, LimitScaleQuery(k, tt))
+
+
+_SMOOTH = st.builds(lambda a, b, c: 2 ** a * 3 ** b * 5 ** c,
+                    st.integers(0, 30), st.integers(0, 15), st.integers(0, 8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(3, 8), st.one_of(st.integers(1, 10 ** 12), _SMOOTH),
+       st.integers(1, 4), st.data())
+def test_scale_membership_matches_loop_oracle_large(m, d, tt, data):
+    md = m * d
+    s = data.draw(st.one_of(st.sampled_from((-md, md)),
+                            st.integers(0, d).map(lambda j: -md + 2 * m * j)))
+    t = tower(m, d, s)
+    top = md ** tt
+    c = _coprime_part(md, s) ** tt if s else top
+    k = data.draw(st.one_of(st.integers(-top, top),
+                            st.integers(-(top // c), top // c).map(lambda j: j * c)))
+    _assert_matches_loop(t, LimitScaleQuery(k, tt))
+
+
+def test_scale_membership_past_the_factoring_bound():
+    # |s| = 6p with p prime above (2^20 + 1)^2 cannot be factored by trial
+    # division, and membership never needs to
+    p = 2 ** 41 + 27
+    extreme, t = tower(3, 2 * p, 6 * p), tower(3, 2 * p + 2, 6 * p)
+    with pytest.raises(EnumerationBoundError):
+        h1_limit(t).describe()
+    out = unital_joint_scale_contains(t, LimitScaleQuery(1, 1))
+    assert not out and "outside the limit homology group" in out.reason
+    c = 5 * 36650387593  # the part of md = 6(p + 1) = 2^3 3^2 c coprime to 6p
+    # h = c/md = 1/72 is first an integer at T = 3 (3p^3, odd) and meets the parity at T = 4
+    assert unital_joint_scale_contains(t, LimitScaleQuery(c, 1)).certificate == (4, 18 * p ** 4)
+    for query in (LimitScaleQuery(1, 1), LimitScaleQuery(c, 1), LimitScaleQuery(-3 * c ** 2, 2)):
+        _assert_matches_loop(t, query)
+    for k in (1, 6 * p, 6 * p + 1, -2):
+        _assert_matches_loop(extreme, LimitScaleQuery(k, 1))
+    out = unital_joint_scale_contains(extreme, LimitScaleQuery(6 * p + 1, 1))
+    assert not out and "interval" in out.reason
 
 
 def test_scale_certificates_are_realizing_levels():

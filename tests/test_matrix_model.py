@@ -12,6 +12,7 @@ from cyclealg.errors import (
 )
 from cyclealg.matrix_model import (
     MatrixAlgebraModel,
+    _block_defects,
     basic_model,
     compose_embeddings,
     composition_oracle_report,
@@ -331,18 +332,17 @@ def test_entrywise_report_rejects_four_cycles():
 
 def test_identity_element_has_zero_deviation():
     model = MatrixAlgebraModel(3, (2,) * 6)
-    from cyclealg.matrix_model import _max_block_entry_deviation
-    assert _max_block_entry_deviation(np.eye(model.dimension, dtype=complex), model) == 0.0
+    a = np.eye(model.dimension, dtype=complex)
+    assert _block_defects(a[None], model, model.supported_block_pairs())[0] == 0.0
 
 
 def test_matrix_unit_cycle_has_zero_deviation():
     # every block entry of the distinguished 6-cycle is a single matrix unit
     model = basic_model(3)
-    from cyclealg.matrix_model import _max_block_entry_deviation
     cycle = np.zeros((6, 6), dtype=complex)
     for (r, c) in [(0, 1), (2, 1), (2, 3), (4, 3), (4, 5), (0, 5)]:
         cycle[r, c] = 1.0
-    assert _max_block_entry_deviation(cycle, model) == 0.0
+    assert _block_defects(cycle[None], model, model.supported_block_pairs())[0] == 0.0
 
 
 @pytest.mark.parametrize("dims,seed", [((2,) * 6, 4), ((1, 3, 2, 1, 2, 3), 31)])
