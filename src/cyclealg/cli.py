@@ -13,6 +13,10 @@ error or refusal, 3 assertion failure or "not isomorphic".  Reports (report
 schema 2) go to stdout (human-readable text by default, ``--json`` for the
 structured record), diagnostics to stderr.  Output is byte-identical for
 identical inputs, flags and seed.
+
+``main(argv)`` may be called repeatedly in one process.  The argument parser
+is built on the first call and reused; it keeps no state between calls, so
+each call prints and returns what the same argv would in a fresh process.
 """
 
 from __future__ import annotations
@@ -309,7 +313,16 @@ def cmd_compare(args) -> int:
     return EXIT_OK if verdict.isomorphic else EXIT_FAILED
 
 
+#: The number of signature arguments each ``signature`` operation takes.
+SIGNATURE_ARITY = {"compose": 2, "homrange": 1, "fromk0h1": 0}
+
+
 def cmd_signature(args) -> int:
+    arity = SIGNATURE_ARITY[args.operation]
+    if len(args.args) != arity:
+        raise SpecValidationError(
+            f"{args.operation} takes {arity} signature argument{'' if arity == 1 else 's'}, "
+            f"got {len(args.args)}", field="signature")
     if args.operation == "compose":
         inner = _parse_signature(args.args[0])
         outer = _parse_signature(args.args[1])
@@ -342,8 +355,11 @@ def cmd_signature(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    model = MatrixAlgebraModel(args.m, _parse_dims(args.dims, args.m)) \
-        if args.target in ("lemma22", "lemma31") else None
+    model = None
+    if args.target in ("lemma22", "lemma31"):
+        # m first: a bad m would otherwise be reported as a bad dims count
+        m = _build("m", check_half_length, args.m)
+        model = MatrixAlgebraModel(m, _parse_dims(args.dims, m))
     if args.target == "lemma22":
         result = entrywise_partial_isometry_report(model, trials=args.trials,
                                                    tol=args.tol, seed=args.seed)
@@ -412,10 +428,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The parser, built by the first ``main`` call (not at import) and reused after.
+_parser = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         # argparse uses exit code 2 for usage errors already
         return int(exc.code or 0)

@@ -17,7 +17,8 @@ Limit invariants computed here:
   query elements k/(md)^t, with the realizing level as certificate,
 * the star-extendible isomorphism verdict with a named witness.
 
-Everything is exact (integers and fractions).
+Everything is exact (Python integers).  The one float, an estimate of a
+certificate level, is corrected by exact integer comparisons.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .cycle_core import check_half_length, check_integer
 from .errors import (
@@ -263,12 +263,44 @@ def unital_joint_scale_contains(tower: StationaryMatroidTower,
         return ScaleMembership(False, None,
                                "congruence with the level parity fails at every level: "
                                "md is odd and k is even")
-    level, scaled = 0, Fraction(k, md ** t)
-    while scaled.denominator != 1 or abs(scaled) > md ** level or (scaled - md ** level) % 2:
-        scaled *= s
-        level += 1
-    return ScaleMembership(True, (level, int(scaled)),
+    level, value = _certificate(md, s, k, t)
+    return ScaleMembership(True, (level, value),
                            f"realized by a unital embedding at level exponent {level}")
+
+
+def _certificate(md, s, k, t) -> tuple:
+    """The first level T where k_T = h s^T, h = k/(md)^t, is realized, and k_T.
+
+    k_T must be an integer with |k_T| <= (md)^T and the parity of (md)^T.  The
+    caller has checked that some level realizes h.  Integrality and the bound
+    persist once they hold (|s| <= md), so T is the larger of their first
+    levels, plus one when the parity fails there: s = md mod 2, so one more
+    factor s makes k_T even and (md)^T even for T >= 1.
+    """
+    g = math.gcd(k, md ** t)
+    num, den = k // g, md ** t // g  # h = num/den in lowest terms
+    # h s^T is an integer iff den divides s^T: strip the primes of s from den
+    level, rest = 0, den
+    while rest != 1:
+        rest //= math.gcd(rest, s)
+        level += 1
+    # |num| |s|^T <= den (md)^T first holds at a level estimated in floats and
+    # corrected exactly; an extreme tower (|s| = md) has |h| <= 1, so 0 there.
+    if abs(num) > den:
+        def fits(n):
+            return abs(num) * abs(s) ** n <= den * md ** n
+
+        bound = math.ceil((math.log(abs(num)) - math.log(den))
+                          / math.log1p((md - abs(s)) / abs(s)))
+        while bound > 0 and fits(bound - 1):
+            bound -= 1
+        while not fits(bound):
+            bound += 1
+        level = max(level, bound)
+    value = num * s ** level // den
+    if (value - md ** level) % 2:
+        level, value = level + 1, value * s
+    return level, value
 
 
 def unital_scale_numerators(tower: StationaryMatroidTower) -> range:

@@ -159,14 +159,15 @@ def locally_regular_check(x, model: MatrixAlgebraModel, tol=1e-6) -> bool:
 
     p and q run over sums of vertex-block identities (the central projections
     of the diagonal part); all 2^{2m} x 2^{2m} pairs are checked, so the
-    check is refused beyond 2m = 12 vertices.  Compressions of one shape are
-    checked together, at most ``_STACK_ENTRIES`` entries per SVD call.
+    check is refused beyond 2m = 8 vertices (2m = 12 already takes a minute).
+    Compressions of one shape are checked together, at most
+    ``_STACK_ENTRIES`` entries per SVD call.
     """
     if tol <= 0:
         raise InvalidIndexError(f"tolerance must be positive, got {tol}")
     two_m = 2 * model.m
-    if two_m > 12:
-        raise InvalidIndexError(f"the exhaustive check needs 2m <= 12 vertices, got {two_m}")
+    if two_m > 8:
+        raise InvalidIndexError(f"the exhaustive check needs 2m <= 8 vertices, got {two_m}")
     x = np.asarray(x, dtype=complex)
     n = model.dimension
     if x.shape != (n, n):

@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from conftest import loop_scale_contains
 
+import cyclealg.cli as cli
 import cyclealg.limits as limits
 from cyclealg.cli import MAX_HALF_LENGTH, main, parse_tower_spec
 from cyclealg.errors import SpecValidationError
@@ -479,6 +480,23 @@ def test_signature_malformed_exits_2(capsys):
     assert main(["signature", "homrange", "1,x,1"]) == 2
 
 
+_SIG = "1,0,0,0,0,0"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["compose", "1,2,3,4,5,6"], "compose takes 2 signature arguments, got 1"),
+    (["compose"], "compose takes 2 signature arguments, got 0"),
+    (["compose", _SIG, _SIG, _SIG], "compose takes 2 signature arguments, got 3"),
+    (["homrange"], "homrange takes 1 signature argument, got 0"),
+    (["homrange", _SIG, _SIG], "homrange takes 1 signature argument, got 2"),
+    (["fromk0h1", _SIG, "--m", "3", "--k0", "1", "--h", "1"],
+     "fromk0h1 takes 0 signature arguments, got 1"),
+])
+def test_signature_refuses_a_wrong_argument_count(capsys, argv, message):
+    assert main(["signature", *argv, "--json"]) == 2
+    assert capsys.readouterr() == ("", f"error (signature): {message}\n")
+
+
 def test_verify_targets(capsys):
     assert main(["verify", "lemma22", "--m", "3", "--dims", "2", "--trials", "5",
                  "--seed", "1", "--json"]) == 0
@@ -500,6 +518,15 @@ def test_verify_targets(capsys):
 def test_verify_refuses_four_cycle(capsys):
     assert main(["verify", "lemma22", "--m", "2", "--trials", "1"]) == 2
     assert main(["verify", "lemma31", "--m", "2", "--trials", "1"]) == 2
+    assert "m >= 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target", ["lemma22", "lemma31"])
+@pytest.mark.parametrize("m", ["-3", "0", "1"])
+def test_verify_refuses_bad_m_at_its_field(capsys, target, m):
+    # checked before dims, whose expected count 2m would be meaningless
+    assert main(["verify", target, "--m", m, "--dims", "1,1", "--trials", "1"]) == 2
+    assert capsys.readouterr() == ("", f"error (m): cycle half-length must be >= 2, got {m}\n")
 
 
 def test_verify_refuses_large_model_in_bounded_memory():
@@ -598,3 +625,43 @@ def test_version_and_usage_exit_codes(capsys):
     assert "cyclealg" in capsys.readouterr().out
     # argparse usage errors map to exit code 2
     assert main(["verify", "nonsense"]) == 2
+
+
+def test_repeated_main_calls_match_fresh_processes(tmp_path, capsys, monkeypatch):
+    # the parser is built once and reused: no call may see state left by another
+    monkeypatch.setenv("COLUMNS", "80")  # usage text wraps at the terminal width
+    good = write_spec(tmp_path, "good.json", STATIONARY)
+    bad = write_spec(tmp_path, "bad.json", dict(STATIONARY, s=5))
+    identity = ";".join(",".join("1" if i == j else "0" for j in range(6)) for i in range(6))
+    battery = [
+        ["signature", "fromk0h1", "--m", "3", "--k0", identity, "--h", "1", "--json"],
+        ["signature", "compose", "0,0,1,0,0,0", "1,0,0,0,0,0", "--json"],
+        ["verify", "nonsense"],
+        ["signature", "homrange", "1,1,1,1,1,1"],
+        ["--version"],
+        ["verify", "lemma22", "--m", "4", "--dims", "1", "--trials", "3", "--tol", "1e-6",
+         "--seed", "5", "--json"],
+        ["verify", "lemma22", "--json"],
+        ["invariants", bad, "--json"],
+        ["invariants", good, "--json"],
+    ]
+    got = []
+    for argv in battery:
+        code = main(argv)
+        got.append((code, *capsys.readouterr()))
+    parser = cli._parser
+    assert parser is not None
+    assert main(["--version"]) == 0 and cli._parser is parser
+    capsys.readouterr()
+    for argv, result in zip(battery, got):
+        assert result == run_cli(*argv), argv
+    compose_input = json.loads(got[1][1])["input"]
+    assert [compose_input[key] for key in ("m", "k0", "h")] == [None] * 3
+    assert got[2][0] == 2 and got[3][0] == 0 and got[7][0] == 2 and got[8][0] == 0
+
+
+def test_import_leaves_the_parser_unbuilt():
+    proc = subprocess.run([sys.executable, "-c",
+                           "import cyclealg.cli as cli; print(cli._parser is None)"],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "True\n", "")

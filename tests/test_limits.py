@@ -303,6 +303,31 @@ def test_scale_membership_past_the_factoring_bound():
     assert not out and "interval" in out.reason
 
 
+@pytest.mark.parametrize("m,d,s,k,t", [
+    (3, 1000, 2994, 10 ** 50 * 3000, 1),           # h = 10^50: T near 57,500
+    (3, 1000, -2994, -125 * (8 * 10 ** 50 + 1), 1),
+    (3, 5, 9, 5 * (10 ** 50 + 1), 1),              # md odd: h = (10^50 + 1)/3
+    (4, 6, 16, 3 ** 40 * 7, 40),                   # h = 7/2^120: 30 levels, parity 31
+    (3, 4, 12, 12 ** 20 - 1, 20),                  # extreme: |h| <= 1
+])
+def test_scale_certificate_past_the_loop(m, d, s, k, t):
+    # checked from the definition, without a level loop: h s^T is an integer
+    # within the capacity (md)^T with its parity, and h s^(T-1) is not
+    t_ = tower(m, d, s)
+    out = unital_joint_scale_contains(t_, LimitScaleQuery(k, t))
+    assert out
+    level, value = out.certificate
+    md = m * d
+
+    def realized(n, v):
+        return abs(v) <= md ** n and (v - md ** n) % 2 == 0
+
+    assert value * md ** t == k * s ** level and realized(level, value)
+    if level:
+        below, rem = divmod(k * s ** (level - 1), md ** t)
+        assert rem or not realized(level - 1, below)
+
+
 def test_scale_certificates_are_realizing_levels():
     # a certificate (T, k_T) means: a unital signature at level exponent T
     # with homology value k_T and limit class equal to the query

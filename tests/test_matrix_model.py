@@ -380,10 +380,10 @@ def test_matrix_unit_is_locally_regular():
         locally_regular_check(np.eye(5, dtype=complex), model)
 
 
-def test_locally_regular_check_refuses_beyond_twelve_vertices():
-    model = basic_model(7)
-    with pytest.raises(InvalidIndexError, match="2m <= 12"):
-        locally_regular_check(np.eye(14, dtype=complex), model)
+def test_locally_regular_check_refuses_beyond_eight_vertices():
+    model = basic_model(5)
+    with pytest.raises(InvalidIndexError, match="2m <= 8 vertices, got 10"):
+        locally_regular_check(np.eye(10, dtype=complex), model)
 
 
 def test_nonregular_example_report():
