@@ -11,8 +11,10 @@ Tower specs are JSON files (spec schema 1):
 Exit codes: 0 success (or "isomorphic" for compare), 2 parse/validation
 error or refusal, 3 assertion failure or "not isomorphic".  Reports (report
 schema 2) go to stdout (human-readable text by default, ``--json`` for the
-structured record), diagnostics to stderr.  Output is byte-identical for
-identical inputs, flags and seed.
+structured record), diagnostics to stderr.  ``--json`` prints exactly
+``json.dumps(report, sort_keys=True, indent=2)`` and a newline.  A refusal
+prints ``error (FIELD): reason``, FIELD being the spec path or the flag at
+fault.  Output is byte-identical for identical inputs, flags and seed.
 
 ``main(argv)`` may be called repeatedly in one process.  The argument parser
 is built on the first call and reused; it keeps no state between calls, so
@@ -31,6 +33,8 @@ from .cycle_core import check_half_length
 from .errors import (
     CrossCycleLengthError,
     CycleAlgebraError,
+    HomologyRangeError,
+    K0NotRigidTypeError,
     SpecValidationError,
 )
 from .limits import (
@@ -99,8 +103,7 @@ def _build(field, make, *args):
     try:
         return make(*args)
     except CycleAlgebraError as exc:
-        name = getattr(exc, "name", None)
-        raise SpecValidationError(str(exc), field=f"$.{name}" if name else field) from exc
+        raise SpecValidationError(str(exc), field=f"$.{exc.name}" if exc.name else field) from exc
 
 
 def _half_length(m, field) -> int:
@@ -181,13 +184,66 @@ def _emit(report, as_json) -> None:
     sys.set_int_max_str_digits(0)
     try:
         if as_json:
-            print(json.dumps(report, sort_keys=True, indent=2))
+            print(_json_text(report))
             return
         print(f"cyclealg {__version__} :: {report['command']}")
         print(f"input: {json.dumps(report['input'], sort_keys=True)}")
         _emit_plain(report["result"], indent="  ")
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+_INF = float("inf")
+
+
+def _json_text(value, newline="\n") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)``, byte for byte.
+
+    With ``indent`` set, json runs its pure-Python encoder; this writes the
+    report's own types directly, through the same string encoder and the
+    same ``repr`` of exact ints and floats.  ``newline`` is a newline followed
+    by the indentation of the current depth.  Any other value (a tuple, a
+    subclass such as a numpy scalar, a dict with a non-str key) is written by
+    json and shifted to the current depth: json writes a nested value as it
+    writes a top-level one, and its only newlines are the ones between items.
+    """
+    kind = type(value)
+    if kind is str:
+        return _encode_str(value)
+    if kind is int:
+        return repr(value)
+    if kind is list:
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        if set(map(type, value)) == {int}:  # signatures, matrix rows, shapes
+            body = ("," + inner).join(map(repr, value))
+        else:
+            body = ("," + inner).join([_json_text(item, inner) for item in value])
+        return "[" + inner + body + newline + "]"
+    if kind is dict and set(map(type, value)) <= {str}:
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        return "{" + inner + ("," + inner).join(
+            [_encode_str(key) + ": " + _json_text(value[key], inner) for key in sorted(value)]
+        ) + newline + "}"
+    if kind is float:
+        if value != value:
+            return "NaN"
+        if value == _INF:
+            return "Infinity"
+        if value == -_INF:
+            return "-Infinity"
+        return repr(value)
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if value is None:
+        return "null"
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", newline)
 
 
 def _emit_plain(value, indent="") -> None:
@@ -341,37 +397,49 @@ def cmd_signature(args) -> int:
         matrix = _parse_matrix(args.k0, _half_length(args.m, "m"))
         try:
             sig = signature_from_k0h1(matrix, args.h)
-            result = {"realizable": True, "signature": list(sig.r),
-                      "k0_matrix": k0_matrix(sig), "h1": h1(sig)}
-            exit_code = EXIT_OK
-        except CycleAlgebraError as exc:
+        except (K0NotRigidTypeError, HomologyRangeError) as exc:
             result = {"realizable": False, "reason": str(exc),
                       "kind": type(exc).__name__}
             exit_code = EXIT_FAILED
+        except CycleAlgebraError as exc:  # a malformed matrix is refused, not answered
+            raise SpecValidationError(str(exc), field="k0") from exc
+        else:
+            result = {"realizable": True, "signature": list(sig.r),
+                      "k0_matrix": k0_matrix(sig), "h1": h1(sig)}
+            exit_code = EXIT_OK
     input_data = {"operation": args.operation, "args": list(args.args),
                   "m": args.m, "k0": args.k0, "h": args.h}
     _emit(_report(f"signature {args.operation}", input_data, result), args.json)
     return exit_code
 
 
-def cmd_verify(args) -> int:
+def _verify_result(args) -> dict:
     model = None
     if args.target in ("lemma22", "lemma31"):
         # m first: a bad m would otherwise be reported as a bad dims count
-        m = _build("m", check_half_length, args.m)
-        model = MatrixAlgebraModel(m, _parse_dims(args.dims, m))
+        m = check_half_length(args.m, name="m")
+        model = _build("dims", MatrixAlgebraModel, m, _parse_dims(args.dims, m))
     if args.target == "lemma22":
-        result = entrywise_partial_isometry_report(model, trials=args.trials,
-                                                   tol=args.tol, seed=args.seed)
-    elif args.target == "lemma31":
-        result = perturbed_entry_report(model, delta=args.delta, trials=args.trials,
-                                        epsilon=args.epsilon, seed=args.seed)
-    elif args.target == "example23":
-        _, result = nonregular_embedding_example()
-    elif args.target == "composition-oracle":
-        result = composition_oracle_report(args.m)
-    else:  # lemma42-roundtrip
-        result = k0h1_roundtrip_report(args.m, max_entry=args.max_entry)
+        return entrywise_partial_isometry_report(model, trials=args.trials,
+                                                 tol=args.tol, seed=args.seed)
+    if args.target == "lemma31":
+        return perturbed_entry_report(model, delta=args.delta, trials=args.trials,
+                                      epsilon=args.epsilon, seed=args.seed)
+    if args.target == "example23":
+        return nonregular_embedding_example()[1]
+    if args.target == "composition-oracle":
+        return composition_oracle_report(args.m)
+    return k0h1_roundtrip_report(args.m, max_entry=args.max_entry)
+
+
+def cmd_verify(args) -> int:
+    try:
+        result = _verify_result(args)
+    except CycleAlgebraError as exc:
+        # each harness names the argument it refuses; the flags share those names
+        if exc.name is None:
+            raise
+        raise SpecValidationError(str(exc), field=exc.name) from exc
     input_data = {"target": args.target, "m": args.m, "dims": args.dims,
                   "trials": args.trials, "tol": args.tol, "delta": args.delta,
                   "epsilon": args.epsilon, "seed": args.seed,

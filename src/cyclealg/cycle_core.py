@@ -46,9 +46,9 @@ def check_integer(x, what, minimum=None, name=None) -> int:
     return value
 
 
-def check_half_length(m, minimum=2) -> int:
+def check_half_length(m, minimum=2, name=None) -> int:
     """Validate a cycle half-length m (the digraph has 2m vertices)."""
-    return check_integer(m, "cycle half-length", minimum)
+    return check_integer(m, "cycle half-length", minimum, name)
 
 
 @dataclass(frozen=True, order=True)

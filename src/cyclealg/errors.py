@@ -2,18 +2,18 @@
 
 
 class CycleAlgebraError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
 
-
-class InvalidIndexError(CycleAlgebraError, ValueError):
-    """A cycle half-length, vertex index, label or other integer is out of range.
-
-    ``name`` names the offending argument where a constructor checks several.
+    ``name`` names the offending argument where a function checks several.
     """
 
     def __init__(self, message, name=None):
         super().__init__(message)
         self.name = name
+
+
+class InvalidIndexError(CycleAlgebraError, ValueError):
+    """A cycle half-length, vertex index, label or other integer is out of range."""
 
 
 class IncompatibleError(CycleAlgebraError, ValueError):

@@ -517,12 +517,12 @@ def _harness_trials(model: MatrixAlgebraModel, trials, seed, delta=0.0):
     """
     if model.m < 3:
         raise InvalidIndexError(
-            "the entrywise partial-isometry property fails for 4-cycle algebras; need m >= 3"
-        )
+            "the entrywise partial-isometry property fails for 4-cycle algebras; need m >= 3",
+            "m")
     if not (math.isfinite(delta) and delta >= 0):
-        raise InvalidIndexError(f"delta must be finite and nonnegative, got {delta}")
+        raise InvalidIndexError(f"delta must be finite and nonnegative, got {delta}", "delta")
     if trials < 1:
-        raise InvalidIndexError(f"trials must be at least 1, got {trials}")
+        raise InvalidIndexError(f"trials must be at least 1, got {trials}", "trials")
     rng = np.random.default_rng(seed)
     n = model.dimension
     mask = model.support_mask() if delta > 0 else None
@@ -555,7 +555,7 @@ def entrywise_partial_isometry_report(model: MatrixAlgebraModel, trials=100,
     deviation.  Refused for m = 2, where the property fails.
     """
     if not (math.isfinite(tol) and tol > 0):
-        raise InvalidIndexError(f"tolerance must be finite and positive, got {tol}")
+        raise InvalidIndexError(f"tolerance must be finite and positive, got {tol}", "tol")
     max_dev, worst_trial = 0.0, None
     for t, sig, dev in _harness_trials(model, trials, seed):
         if dev > max_dev:
@@ -581,7 +581,7 @@ def perturbed_entry_report(model: MatrixAlgebraModel, delta, trials=50,
     entrywise property; the harness records and never asserts a bound.
     """
     if not math.isfinite(epsilon):
-        raise InvalidIndexError(f"epsilon must be finite, got {epsilon}")
+        raise InvalidIndexError(f"epsilon must be finite, got {epsilon}", "epsilon")
     rows = [{"trial": t, "entry_deviation": dev}
             for t, _, dev in _harness_trials(model, trials, seed, delta)]
     max_dev = max(row["entry_deviation"] for row in rows)
@@ -603,11 +603,11 @@ def perturbed_entry_report(model: MatrixAlgebraModel, delta, trials=50,
 def composition_oracle_report(m) -> dict:
     """Compose all ordered pairs of multiplicity-one embeddings in the matrix model
     and compare the decomposed class against the group-ring convolution."""
-    check_half_length(m, minimum=3)
+    check_half_length(m, minimum=3, name="m")
     if m > MAX_ORACLE_HALF_LENGTH:
         raise EnumerationBoundError(
             f"the composition oracle checks (2m)^2 pairs at O(m^2) each; "
-            f"m={m} exceeds the bound {MAX_ORACLE_HALF_LENGTH}")
+            f"m={m} exceeds the bound {MAX_ORACLE_HALF_LENGTH}", "m")
     unit = basic_model(m)
     autos = enumerate_automorphisms(m)
     units = unit_signatures(m)

@@ -367,14 +367,16 @@ def k0h1_roundtrip_report(m, max_entry=2) -> dict:
     The pair (matrix, homology multiplier) determines the signature uniquely:
     the matrix pins the shift family and the homology value pins the shift.
     """
-    check_half_length(m, minimum=3)
+    check_half_length(m, minimum=3, name="m")
     if max_entry < 1:
-        raise InvalidIndexError(f"max_entry must be at least 1, got {max_entry}")
-    # (max_entry + 1)^(2m) >= 2^(2m), so 2m > 16 is past the bound without the power
+        raise InvalidIndexError(f"max_entry must be at least 1, got {max_entry}", "max_entry")
+    # (max_entry + 1)^(2m) >= 2^(2m): 2m > 16 is past the bound at any max_entry,
+    # so the refusal is m's and the power is never computed
     if 2 * m > MAX_ROUNDTRIP_LOG2 or (max_entry + 1) ** (2 * m) > 2 ** MAX_ROUNDTRIP_LOG2:
         raise EnumerationBoundError(
             f"max_entry={max_entry} at m={m} gives (max_entry + 1)^(2m) signatures, "
-            f"more than the bound 2^{MAX_ROUNDTRIP_LOG2}")
+            f"more than the bound 2^{MAX_ROUNDTRIP_LOG2}",
+            "m" if 2 * m > MAX_ROUNDTRIP_LOG2 else "max_entry")
     count, failures = 0, []
     for sig in signatures_with_entries_at_most(m, max_entry):
         count += 1

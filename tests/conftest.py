@@ -6,6 +6,7 @@ by enumerating unital signatures level by level, or by searching levels for a
 certified congruence state period.
 """
 
+import json
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -21,6 +22,39 @@ FULL_ENUM_LIMIT = 40
 # Generic feasibility cap: number of signatures C(total + 2m - 1, 2m - 1)
 # enumerated in full before falling back to the split reduction.
 FULL_ENUM_SIGNATURES = 1_500_000
+
+
+def cli_battery(tmp_path):
+    """The CLI determinism battery of acceptance criterion 8: one argv per command.
+
+    Writes the spec files it names under ``tmp_path``.
+    """
+    specs = {
+        "stationary": {"schema_version": 1, "m": 3, "mode": "stationary_matroid", "d": 4, "s": 6},
+        "other": {"schema_version": 1, "m": 3, "mode": "stationary_matroid", "d": 4, "s": 12},
+        "explicit": {"schema_version": 1, "m": 3, "mode": "explicit",
+                     "shapes": [[1] * 6, [2] * 6], "embeddings": [[1, 1, 0, 0, 0, 0]]},
+    }
+    path = {}
+    for name, spec in specs.items():
+        path[name] = tmp_path / f"{name}.json"
+        path[name].write_text(json.dumps(spec), encoding="utf-8")
+    eye_rows = ";".join(",".join("1" if i == j else "0" for j in range(6)) for i in range(6))
+    return [
+        ["invariants", str(path["stationary"]), "--json"],
+        ["invariants", str(path["explicit"])],
+        ["compare", str(path["stationary"]), str(path["other"]), "--json"],
+        ["signature", "compose", "1,1,0,0,0,0", "0,0,1,0,0,0", "--json"],
+        ["signature", "homrange", "2,1,2,1,2,1"],
+        ["signature", "fromk0h1", "--m", "3", "--k0", eye_rows, "--h", "1", "--json"],
+        ["verify", "lemma22", "--m", "3", "--dims", "2", "--trials", "5", "--seed", "9",
+         "--json"],
+        ["verify", "lemma31", "--m", "3", "--dims", "2", "--trials", "3", "--seed", "9",
+         "--delta", "1e-6", "--json"],
+        ["verify", "example23", "--json"],
+        ["verify", "composition-oracle", "--m", "3", "--json"],
+        ["verify", "lemma42-roundtrip", "--m", "3", "--max-entry", "1", "--json"],
+    ]
 
 
 def full_enum_feasible(m, total):

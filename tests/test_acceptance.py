@@ -4,7 +4,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines; every tolerance is pinned here, nothing is deferred.
 """
 
-import json
 import subprocess
 import sys
 import time
@@ -12,6 +11,7 @@ import time
 from conftest import (
     FULL_ENUM_LIMIT,
     brute_scale_contains,
+    cli_battery,
     unital_h1_contains_split,
     unital_h1_set_full,
 )
@@ -174,35 +174,7 @@ def test_criterion_7_joint_scale_oracle():
 
 def test_criterion_8_cli_determinism(tmp_path):
     """Repeated runs of every CLI command with fixed seed are byte-identical."""
-    stationary = tmp_path / "stationary.json"
-    stationary.write_text(json.dumps(
-        {"schema_version": 1, "m": 3, "mode": "stationary_matroid", "d": 4, "s": 6}),
-        encoding="utf-8")
-    other = tmp_path / "other.json"
-    other.write_text(json.dumps(
-        {"schema_version": 1, "m": 3, "mode": "stationary_matroid", "d": 4, "s": 12}),
-        encoding="utf-8")
-    explicit = tmp_path / "explicit.json"
-    explicit.write_text(json.dumps(
-        {"schema_version": 1, "m": 3, "mode": "explicit",
-         "shapes": [[1] * 6, [2] * 6], "embeddings": [[1, 1, 0, 0, 0, 0]]}),
-        encoding="utf-8")
-    eye_rows = ";".join(",".join("1" if i == j else "0" for j in range(6)) for i in range(6))
-    battery = [
-        ["invariants", str(stationary), "--json"],
-        ["invariants", str(explicit)],
-        ["compare", str(stationary), str(other), "--json"],
-        ["signature", "compose", "1,1,0,0,0,0", "0,0,1,0,0,0", "--json"],
-        ["signature", "homrange", "2,1,2,1,2,1"],
-        ["signature", "fromk0h1", "--m", "3", "--k0", eye_rows, "--h", "1", "--json"],
-        ["verify", "lemma22", "--m", "3", "--dims", "2", "--trials", "5", "--seed", "9",
-         "--json"],
-        ["verify", "lemma31", "--m", "3", "--dims", "2", "--trials", "3", "--seed", "9",
-         "--delta", "1e-6", "--json"],
-        ["verify", "example23", "--json"],
-        ["verify", "composition-oracle", "--m", "3", "--json"],
-        ["verify", "lemma42-roundtrip", "--m", "3", "--max-entry", "1", "--json"],
-    ]
+    battery = cli_battery(tmp_path)
     for argv in battery:
         runs = [subprocess.run([sys.executable, "-m", "cyclealg", *argv],
                                capture_output=True) for _ in range(2)]

@@ -1,3 +1,4 @@
+import enum
 import json
 import math
 import os
@@ -5,10 +6,11 @@ import resource
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from conftest import loop_scale_contains
+from conftest import cli_battery, loop_scale_contains
 
 import cyclealg.cli as cli
 import cyclealg.limits as limits
@@ -408,6 +410,21 @@ def test_signature_fromk0h1(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["result"]["realizable"] is False
     assert report["result"]["kind"] == "HomologyRangeError"
+    # a nonnegative matrix of no rigid type is answered the same way
+    not_rigid = "1,1,0,0,0,0;" + rows.split(";", 1)[1]
+    assert main(["signature", "fromk0h1", "--m", "3", "--k0", not_rigid, "--h", "1",
+                 "--json"]) == 3
+    assert json.loads(capsys.readouterr().out)["result"]["kind"] == "K0NotRigidTypeError"
+
+
+def test_signature_fromk0h1_refuses_a_negative_matrix(capsys):
+    # a malformed matrix is an input error, not a "not realizable" answer
+    rows = "-1,0,0,0,0,0;" + ";".join(",".join(str(int(i == j)) for j in range(6))
+                                      for i in range(1, 6))
+    assert main(["signature", "fromk0h1", "--m", "3", f"--k0={rows}", "--h", "1",
+                 "--json"]) == 2
+    assert capsys.readouterr() == (
+        "", "error (k0): vertex-multiplicity matrix must be nonnegative\n")
 
 
 def _rows(mat):
@@ -516,9 +533,10 @@ def test_verify_targets(capsys):
 
 
 def test_verify_refuses_four_cycle(capsys):
-    assert main(["verify", "lemma22", "--m", "2", "--trials", "1"]) == 2
-    assert main(["verify", "lemma31", "--m", "2", "--trials", "1"]) == 2
-    assert "m >= 3" in capsys.readouterr().err
+    for target in ("lemma22", "lemma31"):
+        assert main(["verify", target, "--m", "2", "--trials", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error (m): ") and "m >= 3" in err
 
 
 @pytest.mark.parametrize("target", ["lemma22", "lemma31"])
@@ -551,9 +569,7 @@ def test_verify_model_dimension_bound(capsys, target, dims, code):
 @pytest.mark.parametrize("trials", ["0", "-1"])
 def test_verify_refuses_trials_below_one(capsys, target, trials):
     assert main(["verify", target, "--m", "3", "--trials", trials]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and "trials" in captured.err
+    assert capsys.readouterr() == ("", f"error (trials): trials must be at least 1, got {trials}\n")
 
 
 @pytest.mark.parametrize("flag,target,name", [
@@ -564,7 +580,7 @@ def test_verify_refuses_non_finite_floats(capsys, flag, target, name, value):
     assert main(["verify", target, "--m", "3", "--trials", "1", f"{flag}={value}"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"error: {name} must be finite")
+    assert captured.err.startswith(f"error ({flag[2:]}): {name} must be finite")
 
 
 def test_verify_composition_oracle_refuses_beyond_its_bound(capsys):
@@ -573,8 +589,8 @@ def test_verify_composition_oracle_refuses_beyond_its_bound(capsys):
     assert main(["verify", "composition-oracle", "--m", str(bound + 1)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (f"error: the composition oracle checks (2m)^2 pairs at O(m^2) "
-                            f"each; m={bound + 1} exceeds the bound {bound}\n")
+    assert captured.err == (f"error (m): the composition oracle checks (2m)^2 pairs at "
+                            f"O(m^2) each; m={bound + 1} exceeds the bound {bound}\n")
     assert main(["verify", "composition-oracle", "--m", str(bound), "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["result"]["pairs"] == (2 * bound) ** 2
 
@@ -582,9 +598,26 @@ def test_verify_composition_oracle_refuses_beyond_its_bound(capsys):
 @pytest.mark.parametrize("max_entry", ["0", "-1"])
 def test_verify_roundtrip_refuses_empty_runs(capsys, max_entry):
     assert main(["verify", "lemma42-roundtrip", "--m", "3", "--max-entry", max_entry]) == 2
+    assert capsys.readouterr() == (
+        "", f"error (max_entry): max_entry must be at least 1, got {max_entry}\n")
+
+
+@pytest.mark.parametrize("argv,field,message", [
+    (["composition-oracle", "--m", "2"], "m", "cycle half-length must be >= 3, got 2"),
+    (["lemma42-roundtrip", "--m", "2"], "m", "cycle half-length must be >= 3, got 2"),
+    (["lemma42-roundtrip", "--m", "9", "--max-entry", "1"], "m", "more than the bound 2^16"),
+    (["lemma42-roundtrip", "--m", "7", "--max-entry", "3"], "max_entry",
+     "more than the bound 2^16"),
+    (["lemma31", "--delta", "-1"], "delta", "delta must be finite and nonnegative, got -1.0"),
+    (["lemma22", "--tol", "0"], "tol", "tolerance must be finite and positive, got 0.0"),
+    (["lemma22", "--dims", "0"], "dims", "vertex multiplicity must be >= 1, got 0"),
+    (["lemma31", "--dims", "1,1,1,1,1,0"], "dims", "vertex multiplicity must be >= 1, got 0"),
+])
+def test_verify_refusals_name_their_flag(capsys, argv, field, message):
+    assert main(["verify", *argv, "--trials", "1", "--json"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ") and "max_entry" in captured.err
+    assert captured.err.startswith(f"error ({field}): ") and message in captured.err
 
 
 def test_cli_subprocess_determinism(tmp_path):
@@ -603,6 +636,71 @@ def test_cli_subprocess_determinism(tmp_path):
         second = run_cli(*cmd)
         assert first == second
         assert first[0] == 0
+
+
+# -- report emission -----------------------------------------------------------
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class _Float(float):
+    pass
+
+
+class _Text(str):
+    pass
+
+
+_text = st.text(st.one_of(st.characters(), st.characters(categories=["Cc", "Cs"])))
+_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(), _text,
+    st.integers(4300, 4400).map(lambda digits: -(10 ** digits) + 1),
+    st.floats(), st.sampled_from([-0.0, 1e16, 5e-324, 2.2e-308, math.inf, -math.inf, math.nan]),
+    st.sampled_from(list(_Level)), st.floats().map(_Float), _text.map(_Text),
+    st.floats().map(np.float64),
+)
+#: Keys json converts to strings; in one dict they must sort against each other.
+_keys = st.one_of(st.integers(), st.floats(), st.booleans())
+_values = st.recursive(_leaves, lambda children: st.one_of(
+    st.lists(children), st.lists(children).map(tuple), st.just([]), st.just({}),
+    st.lists(st.one_of(st.integers(), st.booleans(), st.sampled_from(list(_Level))), min_size=1),
+    st.dictionaries(_text, children), st.dictionaries(_keys, children, max_size=3),
+    st.dictionaries(st.none(), children), st.dictionaries(_text.map(_Text), children),
+), max_leaves=25)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(value=_values)
+def test_json_writer_matches_the_stdlib(value):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert cli._json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("value", [
+    object(), {"a": [1, {2, 3}]}, [[b"bytes"]], {"k": 1j}, [np.int64(1)],
+    {"b": 1, "a": {1: 0, None: 0}}, {"a": {(1,): 0}}])
+def test_json_writer_refuses_what_json_refuses(value):
+    with pytest.raises(TypeError) as want:
+        json.dumps(value, sort_keys=True, indent=2)
+    with pytest.raises(TypeError) as got:
+        cli._json_text(value)
+    assert str(got.value) == str(want.value)
+
+
+def test_json_reports_are_the_stdlib_encoding(tmp_path, capsys):
+    # --json prints exactly json.dumps(report, sort_keys=True, indent=2) and a newline
+    battery = [argv for argv in cli_battery(tmp_path) if "--json" in argv]
+    assert len(battery) == 9
+    for argv in battery:
+        assert main(argv) in (0, 3), argv  # compare reports a "not isomorphic" verdict
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n", argv
 
 
 def test_closed_stdout_exits_quietly(tmp_path):
