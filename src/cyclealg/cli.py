@@ -275,7 +275,7 @@ def _parse_signature(text) -> Signature:
         raise SpecValidationError(
             f"a signature needs an even number of entries (>= 6), got {len(entries)}",
             field="signature")
-    return Signature(_half_length(len(entries) // 2, "signature"), entries)
+    return _build("signature", Signature, _half_length(len(entries) // 2, "signature"), entries)
 
 
 def _parse_matrix(text, m):
@@ -382,7 +382,7 @@ def cmd_signature(args) -> int:
     if args.operation == "compose":
         inner = _parse_signature(args.args[0])
         outer = _parse_signature(args.args[1])
-        composed = signature_compose(inner, outer)
+        composed = _build("signature", signature_compose, inner, outer)
         result = {"inner": list(inner.r), "outer": list(outer.r),
                   "composed": list(composed.r), "h1": h1(composed)}
         exit_code = EXIT_OK
@@ -496,6 +496,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_k0(argv) -> list:
+    """``signature`` argv with ``--k0 VALUE`` written ``--k0=VALUE`` where VALUE
+    starts with a minus sign and a digit: argparse takes such a matrix for an
+    option and would refuse it before the matrix check sees it.  ``--k``, the
+    abbreviation argparse accepts, is joined too; arguments after ``--`` are
+    positional and kept as they are."""
+    out = []
+    for i, arg in enumerate(argv):
+        if arg == "--":
+            return out + argv[i:]
+        if out and out[-1] in ("--k", "--k0") and arg[:1] == "-" and arg[1:2].isdecimal():
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 #: The parser, built by the first ``main`` call (not at import) and reused after.
 _parser = None
 
@@ -504,6 +521,9 @@ def main(argv=None) -> int:
     global _parser
     if _parser is None:
         _parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv[:1] == ["signature"]:
+        argv = _attach_k0(argv)
     try:
         args = _parser.parse_args(argv)
     except SystemExit as exc:

@@ -417,44 +417,93 @@ def decompose_signature(emb: ConcreteEmbedding, tol=_PIECE_TOL) -> Signature:
 # Randomized verification harnesses
 # ---------------------------------------------------------------------------
 
-def _random_composition(rng, total, parts):
-    return tuple(int(x) for x in rng.multinomial(total, [1.0 / parts] * parts))
+def _harness_streams(seed):
+    """The three generators of a seeded harness run, spawned from ``seed``: the
+    uniforms, the block-unitary normals and the perturbation normals.
 
-
-def random_source_partial_isometry(m, rng) -> np.ndarray:
-    """A random partial isometry of the basic algebra with projections in it.
-
-    A sum of matrix units with pairwise distinct rows and columns and random
-    unimodular coefficients is such a partial isometry.
+    Each trial takes a block of fixed size from each stream, and a chunk of
+    trials takes its blocks in one call per stream, so trial t depends only on
+    the seed and the model, never on how the trials are chunked.
     """
-    src = basic_model(m)
-    units = [(i - 1, j - 1) for (i, j) in src.supported_block_pairs()]
-    order = rng.permutation(len(units))
-    x = np.zeros((src.dimension, src.dimension), dtype=complex)
-    rows_used, cols_used = set(), set()
-    for idx in order:
-        r, c = units[idx]
-        if r in rows_used or c in cols_used:
-            continue
-        if rows_used and rng.random() < 0.25:
-            continue
-        rows_used.add(r)
-        cols_used.add(c)
-        x[r, c] = np.exp(2j * math.pi * rng.random())
-    return x
+    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3)]
 
 
-def _draw_trial(model: MatrixAlgebraModel, rng):
-    """One trial's random data, in draw order: a nonzero signature that fits the
-    model, a source partial isometry, then the block-unitary normals (for each
-    vertex of multiplicity k, k^2 real parts, then k^2 imaginary parts)."""
-    m = model.m
-    bound = min(model.vertex_mults)
-    sig = Signature.zero(m)
-    while sig.is_zero:
-        sig = Signature(m, _random_composition(rng, int(rng.integers(1, bound + 1)), 2 * m))
-    x = random_source_partial_isometry(m, rng)
-    return sig, x, rng.standard_normal(2 * sum(k * k for k in model.vertex_mults))
+@functools.lru_cache(maxsize=None)
+def _unit_tables(m):
+    """The basic algebra's 4m matrix units at half-length m: their flat rows and
+    columns, in ``supported_block_pairs`` order, and for each unit its rivals
+    (the units sharing its row or its column), padded with the unit itself to
+    a common width."""
+    units = [(i - 1, j - 1) for (i, j) in basic_model(m).supported_block_pairs()]
+    by_row, by_col = {}, {}
+    for u, (r, c) in enumerate(units):
+        by_row.setdefault(r, []).append(u)
+        by_col.setdefault(c, []).append(u)
+    rivals = [sorted(set(by_row[r] + by_col[c]) - {u}) for u, (r, c) in enumerate(units)]
+    width = max(map(len, rivals))
+    rivals = np.array([w + [u] * (width - len(w)) for u, w in enumerate(rivals)])
+    rows, cols = (np.array(x) for x in zip(*units))
+    for table in (rows, cols, rivals):
+        table.flags.writeable = False  # shared by every caller through the cache
+    return rows, cols, rivals
+
+
+@functools.lru_cache(maxsize=None)
+def _class_images(m):
+    """The 0-based vertex images of the 2m classes, (2m, 2m) in label order."""
+    images = np.array([theta.images() for theta in enumerate_automorphisms(m)]) - 1
+    images.flags.writeable = False  # shared by every caller through the cache
+    return images
+
+
+def _source_units(m, keys, skips, phases) -> np.ndarray:
+    """Random partial isometries of the basic algebra, as the coefficients
+    (c, 4m) of its matrix units (in :func:`_unit_tables` order, 0 where a unit
+    is not taken).
+
+    Row t of ``keys``, ``skips`` and ``phases`` (each (c, 4m)) holds the
+    uniforms of trial t's matrix units.  Units are taken in the order of their
+    keys: a unit is taken when no unit taken before it shares its row or its
+    column and, unless it comes first, when its skip uniform is at least 0.25.
+    A taken unit gets the coefficient exp(2 pi i phase).  A sum of matrix units
+    with distinct rows and columns and unimodular coefficients is a partial
+    isometry with its projections in the algebra.
+
+    The greedy pass runs in rounds over all units of the chunk at once: a
+    unit is decided as soon as a rival before it is taken, or every rival
+    before it that could be taken is decided.
+    """
+    rivals = _unit_tables(m)[2]
+    rank = keys.argsort(axis=1).argsort(axis=1)  # each unit's place in its trial's order
+    open_ = (skips >= 0.25) | (rank == 0)
+    # rivals before the unit that could be taken (the padding, the unit itself, is not before)
+    earlier = (rank[:, rivals] < rank[:, :, None]) & open_[:, rivals]
+    taken = np.zeros_like(open_)
+    while open_.any():
+        blocked = (earlier & taken[:, rivals]).any(axis=2)
+        ready = open_ & (blocked | ~(earlier & open_[:, rivals]).any(axis=2))
+        taken |= ready & ~blocked
+        open_ &= ~ready
+    return np.where(taken, np.exp(2j * math.pi * phases), 0)
+
+
+def _draw_sources(m, bound, uniforms):
+    """Summand classes (c, bound) and source unit coefficients (c, 4m) from the
+    trials' uniform blocks (c, 1 + bound + 12m).
+
+    A block's first uniform u sets the number of summands, 1 + floor(u bound);
+    summand p below that number has the class floor(u_{1+p} 2m), 0-based.  The
+    classes are sorted into label order, and 2m marks a summand past the
+    number.  The last 12m uniforms are the keys, then the skips, then the
+    phases of the 4m source matrix units (:func:`_source_units`).
+    """
+    two_m = 2 * m
+    total = 1 + (uniforms[:, 0] * bound).astype(int)
+    classes = (uniforms[:, 1:1 + bound] * two_m).astype(int)
+    classes[np.arange(bound) >= total[:, None]] = two_m
+    classes.sort(axis=1)
+    keys, skips, phases = np.split(uniforms[:, 1 + bound:], 3, axis=1)
+    return classes, _source_units(m, keys, skips, phases)
 
 
 def _block_unitaries(model: MatrixAlgebraModel, normals) -> np.ndarray:
@@ -480,40 +529,53 @@ def _block_unitaries(model: MatrixAlgebraModel, normals) -> np.ndarray:
     return u
 
 
-def _model_matrices(model: MatrixAlgebraModel, draws) -> np.ndarray:
-    """U A U^* for each drawn trial, stacked (c, N, N).
+def _model_trials(model: MatrixAlgebraModel, streams, count):
+    """The next ``count`` trials of the streams: signature rows (count, 2m) and
+    the model partial isometries U A U^*, stacked (count, N, N).
 
-    A places the source partial isometry by the signature's slot maps, one
-    copy per summand; U is the block-diagonal unitary of the trial's normals.
+    A places the source's unit coefficients once per summand.  With the basic
+    source every summand takes one slot at each target vertex, so summand s
+    of class theta takes slot s at vertex theta(v): the placement of
+    :func:`realize_rigid`, done as one fancy-index assignment per summand
+    index.  U is the block-diagonal unitary of the trial's normals.
     """
-    n, source = model.dimension, basic_model(model.m)
-    a = np.zeros((len(draws), n, n), dtype=complex)
-    for t, (sig, x, _) in enumerate(draws):
-        for s in _slot_maps(sig, source, model):
-            a[t][np.ix_(s, s)] += x
-    u = _block_unitaries(model, np.stack([normals for (_, _, normals) in draws]))
-    return u @ a @ u.conj().transpose(0, 2, 1)
+    uniforms, normals, _ = streams
+    m, n, bound = model.m, model.dimension, min(model.vertex_mults)
+    classes, coefficients = _draw_sources(m, bound, uniforms.random((count, 1 + bound + 12 * m)))
+    unit_rows, unit_cols, _ = _unit_tables(m)
+    starts = np.array(model.starts[:-1])
+    images = _class_images(m)
+    a = np.zeros((count, n, n), dtype=complex)
+    for s in range(bound):
+        t = np.flatnonzero(classes[:, s] < 2 * m)
+        idx = starts[images[classes[t, s]]] + s  # target index of each source index
+        a[t[:, None], idx[:, unit_rows], idx[:, unit_cols]] = coefficients[t]
+    u = _block_unitaries(
+        model, normals.standard_normal((count, 2 * sum(k * k for k in model.vertex_mults))))
+    rows = (classes[:, :, None] == np.arange(2 * m)).sum(axis=1)
+    return rows, u @ a @ u.conj().transpose(0, 2, 1)
 
 
-def random_model_partial_isometry(model: MatrixAlgebraModel, rng):
+def random_model_partial_isometry(model: MatrixAlgebraModel, seed=0):
     """A partial isometry in the model with initial and final projections in it.
 
     Built as the image of a random partial isometry of the basic algebra
     under a random rigid embedding, conjugated by a random block-diagonal
     unitary; the entrywise partial-isometry property is exact for these.
-    This is one trial of the harness, with the same draws and arithmetic.
+    This is trial 0 of the harness run with the same seed.
     """
-    draw = _draw_trial(model, rng)
-    return _model_matrices(model, [draw])[0], draw[0]
+    rows, a = _model_trials(model, _harness_streams(seed), 1)
+    return a[0], Signature(model.m, tuple(rows[0].tolist()))
 
 
 def _harness_trials(model: MatrixAlgebraModel, trials, seed, delta=0.0):
-    """Yield (t, signature, max block-entry deviation) for each seeded trial.
+    """Yield (t, signature row, max block-entry deviation) for each seeded trial.
 
     Each trial is a random model partial isometry; delta > 0 adds a random
     perturbation of operator norm delta inside the support before measuring.
-    Trials run max(1, _STACK_ENTRIES // N^2) at a time: each trial's draws are
-    taken in turn from one generator, then the numerics run stacked.
+    The perturbation has its own stream, so the trials are those of delta = 0
+    at any delta.  Trials run max(1, _STACK_ENTRIES // N^2) at a time: the
+    chunk draws its blocks from the streams, then the numerics run stacked.
     """
     if model.m < 3:
         raise InvalidIndexError(
@@ -523,26 +585,22 @@ def _harness_trials(model: MatrixAlgebraModel, trials, seed, delta=0.0):
         raise InvalidIndexError(f"delta must be finite and nonnegative, got {delta}", "delta")
     if trials < 1:
         raise InvalidIndexError(f"trials must be at least 1, got {trials}", "trials")
-    rng = np.random.default_rng(seed)
+    streams = _harness_streams(seed)
     n = model.dimension
     mask = model.support_mask() if delta > 0 else None
     pairs = model.supported_block_pairs()
     chunk = max(1, _STACK_ENTRIES // (n * n))
     for first in range(0, trials, chunk):
-        draws, noise = [], []
-        for _ in range(min(chunk, trials - first)):
-            draws.append(_draw_trial(model, rng))
-            if delta > 0:
-                noise.append(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-        a = _model_matrices(model, draws)
+        count = min(chunk, trials - first)
+        rows, a = _model_trials(model, streams, count)
         if delta > 0:
-            e = np.stack(noise)
+            # the trial's 2N^2 normals, read as N^2 (real, imaginary) pairs
+            e = streams[2].standard_normal((count, n, n, 2)).view(complex)[..., 0]
             e[:, ~mask] = 0.0
             e *= (delta / np.linalg.svd(e, compute_uv=False).max(axis=-1))[:, None, None]
             a = a + e
-        for t, (sig, _, _), dev in zip(range(first, trials), draws,
-                                       _block_defects(a, model, pairs)):
-            yield t, sig, float(dev)
+        for t, row, dev in zip(range(first, trials), rows, _block_defects(a, model, pairs)):
+            yield t, row, float(dev)
 
 
 def entrywise_partial_isometry_report(model: MatrixAlgebraModel, trials=100,
@@ -556,10 +614,11 @@ def entrywise_partial_isometry_report(model: MatrixAlgebraModel, trials=100,
     """
     if not (math.isfinite(tol) and tol > 0):
         raise InvalidIndexError(f"tolerance must be finite and positive, got {tol}", "tol")
-    max_dev, worst_trial = 0.0, None
-    for t, sig, dev in _harness_trials(model, trials, seed):
+    max_dev, worst = 0.0, None
+    for t, row, dev in _harness_trials(model, trials, seed):
         if dev > max_dev:
-            max_dev, worst_trial = dev, {"trial": t, "signature": list(sig.r)}
+            max_dev, worst = dev, (t, row)
+    worst_trial = None if worst is None else {"trial": worst[0], "signature": worst[1].tolist()}
     return {
         "check": "entrywise-partial-isometries",
         "m": model.m,
@@ -611,11 +670,10 @@ def composition_oracle_report(m) -> dict:
     unit = basic_model(m)
     autos = enumerate_automorphisms(m)
     units = unit_signatures(m)
+    embeddings = [realize_rigid(s, unit) for s in units]
     mismatches = []
-    for a, sa in zip(autos, units):
-        for b, sb in zip(autos, units):
-            first = realize_rigid(sb, unit)
-            second = realize_rigid(sa, unit, source=unit)
+    for a, sa, second in zip(autos, units, embeddings):
+        for b, sb, first in zip(autos, units, embeddings):
             got = decompose_signature(compose_embeddings(first, second))
             expected = signature_compose(sb, sa)
             if got.r != expected.r:

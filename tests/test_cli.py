@@ -427,6 +427,33 @@ def test_signature_fromk0h1_refuses_a_negative_matrix(capsys):
         "", "error (k0): vertex-multiplicity matrix must be nonnegative\n")
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["compose", "1,0,0,0,0,0", "1,0,0,0,0,0,0,0"],
+     "signatures of different cycle lengths: m=3 vs m=4"),
+    (["compose", "--", "-1,0,0,0,0,0", "1,0,0,0,0,0"], "signature entry must be >= 0, got -1"),
+    (["homrange", "--", "0,-2,0,0,0,0"], "signature entry must be >= 0, got -2"),
+])
+def test_signature_argument_refusals_name_their_field(capsys, argv, message):
+    assert main(["signature", *argv]) == 2
+    assert capsys.readouterr() == ("", f"error (signature): {message}\n")
+
+
+def test_k0_value_with_a_leading_minus_reaches_the_matrix_check(capsys):
+    rows = "-1,0,0,0,0,0;" + ";".join(",".join(str(int(i == j)) for j in range(6))
+                                      for i in range(1, 6))
+    for flag in ("--k0", "--k"):
+        assert main(["signature", "fromk0h1", "--m", "3", flag, rows, "--h", "1"]) == 2
+        assert capsys.readouterr() == (
+            "", "error (k0): vertex-multiplicity matrix must be nonnegative\n")
+    # a flag is still no value, and other commands and positionals are untouched
+    assert main(["signature", "fromk0h1", "--m", "3", "--k0", "--json"]) == 2
+    assert capsys.readouterr().err.endswith("error: argument --k0: expected one argument\n")
+    assert main(["signature", "compose", "--", "--k0", "-1,0,0,0,0,0"]) == 2
+    assert capsys.readouterr().err == "error (signature): malformed signature '--k0'\n"
+    assert main(["verify", "lemma22", "--k0", "-1,0,0"]) == 2
+    assert capsys.readouterr().err.endswith("error: unrecognized arguments: --k0 -1,0,0\n")
+
+
 def _rows(mat):
     return ";".join(",".join(str(x) for x in row) for row in mat)
 

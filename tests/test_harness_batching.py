@@ -1,63 +1,99 @@
 """The stacked harness against the per-trial, per-block loop it replaced.
 
-The reference below draws one trial at a time, realizes its embedding as a
-dict of matrix-unit pieces, applies it, conjugates densely and measures every
-supported block with its own SVD.  The stacked harness must agree with it
-exactly (``==``, not approximately) on every trial.
+The reference below takes one trial at a time from the three seeded streams,
+decodes its blocks in plain Python (the signature, then the source partial
+isometry by a sequential greedy pass), realizes its embedding as a dict of
+matrix-unit pieces, applies it, conjugates densely and measures every
+supported block with its own SVD.  The stacked harness, which draws and
+places a chunk of trials at once, must agree with it exactly (``==``, not
+approximately) on every trial.
 """
 
+import math
 import tracemalloc
 from itertools import product
 
 import numpy as np
 import pytest
 
+from cyclealg import matrix_model
 from cyclealg.matrix_model import (
     _STACK_ENTRIES,
     MatrixAlgebraModel,
     _defects,
+    _draw_sources,
+    _harness_streams,
     _harness_trials,
-    _random_composition,
+    basic_model,
     distance_to_partial_isometry,
     entrywise_partial_isometry_report,
     locally_regular_check,
     nonregular_embedding_example,
+    perturbed_entry_report,
     random_model_partial_isometry,
-    random_source_partial_isometry,
     realize_rigid,
 )
 from cyclealg.signatures import Signature
 
 
-def _reference_unitary(model, rng):
+def _reference_streams(seed):
+    # uniforms, unitary normals, perturbation normals
+    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3)]
+
+
+def _reference_unitary(model, normals):
     u = np.zeros((model.dimension, model.dimension), dtype=complex)
+    offset = 0
     for v in range(1, 2 * model.m + 1):
         k = model.vertex_mults[v - 1]
-        z = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
-        q, r = np.linalg.qr(z)
+        z = normals[offset:offset + 2 * k * k].reshape(2, k, k)
+        offset += 2 * k * k
+        q, r = np.linalg.qr(z[0] + 1j * z[1])
         q = q * (np.diag(r) / np.abs(np.diag(r)))
         u[model.block(v), model.block(v)] = q
     return u
 
 
-def _reference_partial_isometry(model, rng):
-    m = model.m
-    bound = min(model.vertex_mults)
-    sig = Signature.zero(m)
-    while sig.is_zero:
-        sig = Signature(m, _random_composition(rng, int(rng.integers(1, bound + 1)), 2 * m))
-    a = realize_rigid(sig, model).apply(random_source_partial_isometry(m, rng))
-    u = _reference_unitary(model, rng)
+def _reference_source(m, keys, skips, phases):
+    units = [(i - 1, j - 1) for (i, j) in basic_model(m).supported_block_pairs()]
+    x = np.zeros((2 * m, 2 * m), dtype=complex)
+    rows_used, cols_used = set(), set()
+    for idx in np.argsort(keys):
+        r, c = units[idx]
+        if r in rows_used or c in cols_used:
+            continue
+        if rows_used and skips[idx] < 0.25:
+            continue
+        rows_used.add(r)
+        cols_used.add(c)
+        x[r, c] = np.exp(2j * math.pi * phases[idx])
+    return x
+
+
+def _reference_partial_isometry(model, streams):
+    m, bound = model.m, min(model.vertex_mults)
+    u = streams[0].random(1 + bound + 12 * m)
+    r = [0] * (2 * m)
+    for p in range(1 + int(u[0] * bound)):
+        r[int(u[1 + p] * 2 * m)] += 1
+    sig = Signature(m, tuple(r))
+    units = 4 * m
+    keys, skips, phases = (u[1 + bound + i * units:1 + bound + (i + 1) * units] for i in range(3))
+    a = realize_rigid(sig, model).apply(_reference_source(m, keys, skips, phases))
+    normals = streams[1].standard_normal(2 * sum(k * k for k in model.vertex_mults))
+    u = _reference_unitary(model, normals)
     return u @ a @ u.conj().T, sig
 
 
 def _reference_trials(model, trials, seed, delta=0.0):
-    rng = np.random.default_rng(seed)
+    streams = _reference_streams(seed)
+    n = model.dimension
     mask = model.support_mask() if delta > 0 else None
     for t in range(trials):
-        a, sig = _reference_partial_isometry(model, rng)
+        a, sig = _reference_partial_isometry(model, streams)
         if delta > 0:
-            e = rng.standard_normal(a.shape) + 1j * rng.standard_normal(a.shape)
+            z = streams[2].standard_normal((n, n, 2))
+            e = z[..., 0] + 1j * z[..., 1]
             e[~mask] = 0.0
             e *= delta / np.linalg.norm(e, 2)
             a = a + e
@@ -91,19 +127,78 @@ def test_stacked_harness_equals_per_trial_reference(m, dims, trials, delta):
     model = MatrixAlgebraModel(m, dims)
     chunk = _chunk(model)
     assert chunk == 1 or trials > chunk, "each case must cross a chunk boundary"
-    got = [(t, sig.r, dev) for t, sig, dev in _harness_trials(model, trials, 17, delta)]
+    got = [(t, tuple(row.tolist()), dev)
+           for t, row, dev in _harness_trials(model, trials, 17, delta)]
     assert got == list(_reference_trials(model, trials, 17, delta))
 
 
 @pytest.mark.parametrize("dims", [(2,) * 6, (1, 3, 2, 1, 2, 3)])
 def test_random_model_partial_isometry_is_one_reference_trial(dims):
+    # it is trial 0 of the harness run with the same seed
     model = MatrixAlgebraModel(3, dims)
-    rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
-    for _ in range(5):
-        a, sig = random_model_partial_isometry(model, rng)
-        b, ref_sig = _reference_partial_isometry(model, ref_rng)
+    for seed in range(5):
+        a, sig = random_model_partial_isometry(model, seed)
+        b, ref_sig = _reference_partial_isometry(model, _reference_streams(seed))
         assert sig.r == ref_sig.r
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("stack", [1 << 11, 1])
+def test_reports_do_not_depend_on_the_chunk_size(monkeypatch, stack):
+    # N = 12: 113 trials per chunk, 14 under 2^11 entries, 1 under one entry
+    model = MatrixAlgebraModel(3, (2,) * 6)
+    reports = [
+        lambda: entrywise_partial_isometry_report(model, trials=120, seed=5),
+        lambda: perturbed_entry_report(model, delta=1e-3, trials=120, seed=5),
+    ]
+    before = [report() for report in reports]
+    monkeypatch.setattr(matrix_model, "_STACK_ENTRIES", stack)
+    assert [report() for report in reports] == before
+
+
+@pytest.mark.parametrize("m", [3, 5])
+def test_drawn_sources_and_signatures_cover_the_draw(m):
+    bound, two_m = 3, 2 * m
+    uniforms = _harness_streams(8)[0].random((3000, 1 + bound + 12 * m))
+    classes, coefficients = _draw_sources(m, bound, uniforms)
+    units = [(i - 1, j - 1) for (i, j) in basic_model(m).supported_block_pairs()]
+    x = np.zeros((len(uniforms), two_m, two_m), dtype=complex)
+    x[:, [r for r, _ in units], [c for _, c in units]] = coefficients
+    mask = basic_model(m).support_mask()
+    for source in x:
+        nonzero = source != 0
+        assert not nonzero[~mask].any()
+        assert nonzero.any(axis=0).sum() == nonzero.sum() == nonzero.any(axis=1).sum()
+        assert np.allclose(np.abs(source[nonzero]), 1.0, rtol=0, atol=1e-15)
+        assert distance_to_partial_isometry(source) <= 1e-15
+    totals = (classes < two_m).sum(axis=1)
+    assert set(totals.tolist()) == set(range(1, bound + 1))
+    assert set(classes[classes < two_m].tolist()) == set(range(two_m))
+    # summands are in label order, and the sentinel only follows them
+    assert (np.diff(classes, axis=1) >= 0).all()
+
+
+def test_lemma31_measures_the_trials_of_lemma22(monkeypatch):
+    # the perturbation has its own stream: at delta > 0 the measured matrices
+    # are those of delta = 0 plus a norm-delta perturbation inside the support
+    model = MatrixAlgebraModel(3, (1, 3, 2, 1, 2, 3))
+    measured = []
+    block_defects = matrix_model._block_defects
+
+    def spy(a, *args):
+        measured.append(a)
+        return block_defects(a, *args)
+
+    monkeypatch.setattr(matrix_model, "_block_defects", spy)
+    delta = 0.05
+    rows = {d: [tuple(row.tolist()) for _, row, _ in _harness_trials(model, 200, 4, d)]
+            for d in (0.0, delta)}
+    assert rows[0.0] == rows[delta]
+    plain, perturbed = (np.concatenate(measured[:len(measured) // 2]),
+                        np.concatenate(measured[len(measured) // 2:]))
+    e = perturbed - plain
+    assert not e[:, ~model.support_mask()].any()
+    assert np.allclose(np.linalg.norm(e, 2, axis=(1, 2)), delta, rtol=1e-9, atol=0)
 
 
 def test_entrywise_report_memory_does_not_grow_with_trials():

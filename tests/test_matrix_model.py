@@ -254,6 +254,18 @@ def test_composition_oracle_pins_convolution_orientation():
     assert report["ok"] and report["matches"] == 36
 
 
+@pytest.mark.parametrize("m", [3, 5])
+def test_composition_oracle_realizes_each_unit_embedding_once(monkeypatch, m):
+    from cyclealg import matrix_model
+    calls = []
+    real = matrix_model.realize_rigid
+    monkeypatch.setattr(matrix_model, "realize_rigid",
+                        lambda *args, **kwargs: calls.append(args[0].r) or real(*args, **kwargs))
+    report = composition_oracle_report(m)
+    assert report["ok"] and report["matches"] == (2 * m) ** 2
+    assert sorted(calls) == sorted(Signature.unit(theta).r for theta in enumerate_automorphisms(m))
+
+
 def test_decompose_rejects_non_standard_form():
     unit = basic_model(3)
     emb = realize_rigid(Signature.unit(enumerate_automorphisms(3)[0]), unit)
