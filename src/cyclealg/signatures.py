@@ -12,7 +12,9 @@ complete conjugacy invariant.  Two derived invariants are computed here:
 
 Everything in this module is exact Python-integer arithmetic.  numpy appears
 only in the enumeration oracle (``permutation_matrix``, ``joint_scale_finite``
-and their helpers), which the tests check the closed forms against.
+and their helpers), which the tests check the closed forms against.  Values
+are checked once, where they enter (``Signature(m, r)``, the fibre recovery's
+matrix and h); values computed here from checked ints are not checked again.
 """
 
 from __future__ import annotations
@@ -74,6 +76,13 @@ class Signature:
         return sum(self.r)
 
     @classmethod
+    def _of(cls, m, r) -> "Signature":
+        """A signature of already checked ints, not validated again."""
+        sig = object.__new__(cls)
+        sig.__dict__.update(m=m, r=r)
+        return sig
+
+    @classmethod
     def unit(cls, element: DihedralElement) -> "Signature":
         """The multiplicity-one signature of a single automorphism class."""
         r = [0] * (2 * element.m)
@@ -83,11 +92,6 @@ class Signature:
     @classmethod
     def zero(cls, m) -> "Signature":
         return cls(m, (0,) * (2 * m))
-
-
-def _require_same_m(s1: Signature, s2: Signature):
-    if s1.m != s2.m:
-        raise IncompatibleError(f"signatures of different cycle lengths: m={s1.m} vs m={s2.m}")
 
 
 def permutation_matrix(element: DihedralElement) -> np.ndarray:
@@ -111,119 +115,135 @@ def _composition_index_table(m):
 
 
 @functools.lru_cache(maxsize=None)
-def _k0_cells(m):
-    """Per class, the (row, col) cells of its permutation matrix in parity order."""
-    return tuple(tuple((parity_position(m, theta.act(v)), parity_position(m, v))
-                       for v in range(1, 2 * m + 1))
-                 for theta in enumerate_automorphisms(m))
+def _k0_layout(m):
+    """Reads the row-major k0 matrix out of the sums rot_a + refl_b (at a*m + b) and a 0.
+
+    With rot_k, refl_k the classes theta_{2k+1}, theta_{2k+2}, cell (i, j) of the
+    odd block is rot_{j-i} + refl_{i+j} and of the even block rot_{j-i} + refl_{i+j+1}.
+    """
+    zero = [m * m] * m
+    odd = [[(j - i) % m * m + (i + j) % m for j in range(m)] + zero for i in range(m)]
+    even = [zero + [(j - i) % m * m + (i + j + 1) % m for j in range(m)] for i in range(m)]
+    return operator.itemgetter(*itertools.chain.from_iterable(odd + even))
+
+
+def _k0_flat(m, r) -> tuple:
+    """The matrix sum_j r_j P(theta_j) as one row-major tuple."""
+    sums = list(itertools.starmap(operator.add, itertools.product(r[0::2], r[1::2])))
+    sums.append(0)
+    return _k0_layout(m)(sums)
 
 
 def k0_matrix(sig: Signature) -> list:
-    """The matrix sum_j r_j P(theta_j) as 2m rows of Python ints.
-
-    It is block diagonal across the parity split.
-    """
-    rows = [[0] * (2 * sig.m) for _ in range(2 * sig.m)]
-    for r, cells in zip(sig.r, _k0_cells(sig.m)):
-        if r:
-            for row, col in cells:
-                rows[row][col] += r
-    return rows
+    """The matrix sum_j r_j P(theta_j) as 2m rows of Python ints, block diagonal by parity."""
+    return list(map(list, zip(*[iter(_k0_flat(sig.m, sig.r))] * (2 * sig.m))))
 
 
 def h1(sig: Signature) -> int:
     """Rotations minus reflections: r_1 - r_2 + r_3 - .. - r_{2m}."""
-    return sum(x if i % 2 == 0 else -x for i, x in enumerate(sig.r))
+    return sum(sig.r[0::2]) - sum(sig.r[1::2])
 
 
 def signature_compose(inner: Signature, outer: Signature) -> Signature:
     """Signature of outer . inner (inner applied first): group-ring convolution."""
-    _require_same_m(inner, outer)
+    if inner.m != outer.m:
+        raise IncompatibleError(
+            f"signatures of different cycle lengths: m={inner.m} vs m={outer.m}")
     table = _composition_index_table(inner.m)
     out = [0] * (2 * inner.m)
     for a, ra in enumerate(outer.r):
-        if ra == 0:
-            continue
-        row = table[a]
-        for b, rb in enumerate(inner.r):
-            if rb:
-                out[row[b]] += ra * rb
-    return Signature(inner.m, tuple(out))
+        if ra:
+            row = table[a]
+            for b, rb in enumerate(inner.r):
+                if rb:
+                    out[row[b]] += ra * rb
+    return Signature._of(inner.m, tuple(out))
 
 
-def _shift_family(mat) -> tuple:
-    """(lowest member, size) of the fibre of a vertex-multiplicity matrix, or (None, 0).
-
-    The fibre is the shift family (r_1 + k, r_2 - k, r_3 + k, ..).  Write
-    rot_k, refl_k for the classes theta_{2k+1}, theta_{2k+2}.  The column of
-    vertex 1 holds rot_k + refl_{-k} at vertex 1 - 2k and the column of
-    vertex 2 holds rot_k + refl_{1-k} at vertex 2 - 2k; walking around the
-    cycle from rot_0 = 0 solves all but one of these pair constraints.  The
-    shift vector has the zero matrix, so one exact check of the lowest
-    nonnegative member decides the whole family.
-    """
+def _checked_flat(mat) -> tuple:
+    """(m, row-major tuple of Python ints) of a caller's 2m x 2m nonnegative integer matrix."""
     rows = [list(row) for row in mat]
     n = len(rows)
     shape = (n,) + tuple(sorted({len(row) for row in rows}))
     if n % 2 or n < 6 or shape != (n, n):
         raise InvalidIndexError(f"expected a 2m x 2m matrix with m >= 3, got shape {shape}")
     try:
-        rows = [[operator.index(x) for x in row] for row in rows]
+        flat = tuple(map(operator.index, itertools.chain.from_iterable(rows)))
     except TypeError:
         raise InvalidIndexError("vertex-multiplicity matrix must be integer") from None
-    if any(x < 0 for row in rows for x in row):
+    if min(flat) < 0:
         raise InvalidIndexError("vertex-multiplicity matrix must be nonnegative")
+    return n // 2, flat
 
-    m = n // 2
-    col1, col2 = parity_position(m, 1), parity_position(m, 2)
-    r = [0] * n
+
+@functools.lru_cache(maxsize=None)
+def _walk(m):
+    """Steps (entry, cell, entry subtracted) from rot_0 = 0 around the cycle: column 0
+    holds rot_k + refl_{-k} in odd row -k and rot_k + refl_{1-k} in even row -k."""
+    steps = []
     for k in range(m):
+        i = -k % m
         if k:
-            at = parity_position(m, (1 - 2 * k) % n + 1)
-            r[2 * k] = rows[at][col2] - r[2 * ((1 - k) % m) + 1]
-        at = parity_position(m, (-2 * k) % n + 1)
-        r[2 * ((-k) % m) + 1] = rows[at][col1] - r[2 * k]
+            steps.append((2 * k, (m + i) * 2 * m + m, 2 * ((i + 1) % m) + 1))
+        steps.append((2 * i + 1, i * 2 * m, 2 * k))
+    return tuple(steps)
+
+
+def _fibre(m, flat) -> tuple:
+    """(lowest member, size) of the fibre of a flat matrix, or (None, 0).
+
+    The fibre is the shift family (r_1 + k, r_2 - k, r_3 + k, ..), whose shift
+    has the zero matrix: one check of the lowest member decides the family.
+    """
+    r = [0] * (2 * m)
+    for dst, cell, src in _walk(m):
+        r[dst] = flat[cell] - r[src]
     lo, hi = -min(r[0::2]), min(r[1::2])
-    if lo > hi:
-        return None, 0
-    base = Signature(m, _shift(r, lo))
-    if k0_matrix(base) != rows:
+    base = _shift(r, lo)
+    if lo > hi or _k0_flat(m, base) != flat:
         return None, 0
     return base, hi - lo + 1
 
 
 def _shift(r, k) -> tuple:
     """Entries of r moved k steps along the shift family (+k rotations, -k reflections)."""
-    return tuple(x + k if i % 2 == 0 else x - k for i, x in enumerate(r))
+    return tuple(itertools.chain.from_iterable(zip([x + k for x in r[0::2]],
+                                                   [x - k for x in r[1::2]])))
+
+
+def _recover(m, flat, h) -> tuple:
+    """Entries of the fibre member with homology h; the shift by k moves h1 by 2m * k."""
+    base, size = _fibre(m, flat)
+    if base is None:
+        raise K0NotRigidTypeError("matrix is not a sum of automorphism permutation matrices")
+    lo, step = sum(base[0::2]) - sum(base[1::2]), 2 * m
+    k, rem = divmod(h - lo, step)
+    if rem == 0 and 0 <= k < size:
+        return _shift(base, k)
+    raise HomologyRangeError(
+        f"homology value {h} is outside the homology range "
+        f"{{{lo} + {step}k : k = 0, .., {size - 1}}} of this matrix")
 
 
 def k0_is_rigid_type(mat) -> list:
-    """All signatures with the given vertex-multiplicity matrix (empty if none).
+    """All signatures with the given vertex-multiplicity matrix, in increasing r_1.
 
-    A matrix is of rigid type exactly when this fibre is nonempty.  The fibre
-    is the shift family of ``_shift_family``, listed in increasing r_1.
+    A matrix is of rigid type exactly when this fibre (``_fibre``) is nonempty.
     """
-    base, size = _shift_family(mat)
-    return [Signature(base.m, _shift(base.r, k)) for k in range(size)]
+    m, flat = _checked_flat(mat)
+    base, size = _fibre(m, flat)
+    return [Signature._of(m, _shift(base, k)) for k in range(size)]
 
 
 def signature_from_k0h1(mat, h: int) -> Signature:
     """The unique signature with the given matrix and homology multiplier.
 
     Raises ``K0NotRigidTypeError`` when the matrix has empty fibre and
-    ``HomologyRangeError`` when the matrix is realizable but h is not.  The
-    shift by k moves h1 by 2m * k, so the member is picked directly.
+    ``HomologyRangeError`` when the matrix is realizable but h is not.
     """
-    base, size = _shift_family(mat)
-    if base is None:
-        raise K0NotRigidTypeError("matrix is not a sum of automorphism permutation matrices")
-    lo, step = h1(base), 2 * base.m
-    k, rem = divmod(h - lo, step)
-    if rem == 0 and 0 <= k < size:
-        return Signature(base.m, _shift(base.r, k))
-    raise HomologyRangeError(
-        f"homology value {h} is outside the homology range "
-        f"{{{lo} + {step}k : k = 0, .., {size - 1}}} of this matrix")
+    h = check_integer(h, "homology value", name="h")
+    m, flat = _checked_flat(mat)
+    return Signature._of(m, _recover(m, flat, h))
 
 
 def homology_range(sig: Signature) -> range:
@@ -275,23 +295,8 @@ class JointScaleElement:
     h_part: int
 
 
-def scale_element(sig: Signature) -> JointScaleElement:
-    """The joint-scale element contributed by a rigid embedding with this signature."""
-    return JointScaleElement(tuple(row[0] + row[sig.m] for row in k0_matrix(sig)), h1(sig))
-
-
-def compositions(total, parts):
-    """All tuples of ``parts`` nonnegative integers with the given sum, in lex order."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def _compositions_array(total, parts) -> np.ndarray:
-    """Stars-and-bars enumeration as an array, rows in the same lex order."""
+    """Stars-and-bars enumeration as an array, rows in lexicographic order."""
     if parts == 1:
         return np.array([[total]], dtype=np.int64)
     dividers = np.fromiter(
@@ -329,9 +334,9 @@ def joint_scale_finite(shape: CycleAlgebraShape, unital_only=False,
         totals = list(range(1, bound + 1))
 
     m = shape.m
-    # Per-class contributions: the scale element depends linearly on the
-    # signature through the image positions of vertices 1 and 2 and the sign
-    # character (same map as scale_element, batched).
+    # Per-class contributions: the scale element (columns 0 and m of the k0
+    # matrix summed, and h1) depends linearly on the signature through the
+    # image positions of vertices 1 and 2 and the sign character.
     stack = _perm_stack(m)
     part_map = (stack[:, :, 0] + stack[:, :, m]).astype(np.int64)
     signs = np.array([1 if j % 2 == 0 else -1 for j in range(2 * m)], dtype=np.int64)
@@ -355,19 +360,14 @@ def unit_signatures(m) -> list:
     return [Signature.unit(theta) for theta in enumerate_automorphisms(m)]
 
 
-def signatures_with_entries_at_most(m, bound):
-    """All signatures with every entry <= bound (includes the zero signature)."""
-    for r in itertools.product(range(bound + 1), repeat=2 * m):
-        yield Signature(m, r)
-
-
 def k0h1_roundtrip_report(m, max_entry=2) -> dict:
     """Recover every signature with entries <= max_entry from its matrix and homology value.
 
     The pair (matrix, homology multiplier) determines the signature uniquely:
     the matrix pins the shift family and the homology value pins the shift.
     """
-    check_half_length(m, minimum=3, name="m")
+    m = check_half_length(m, minimum=3, name="m")
+    max_entry = check_integer(max_entry, "max_entry", name="max_entry")
     if max_entry < 1:
         raise InvalidIndexError(f"max_entry must be at least 1, got {max_entry}", "max_entry")
     # (max_entry + 1)^(2m) >= 2^(2m): 2m > 16 is past the bound at any max_entry,
@@ -378,11 +378,11 @@ def k0h1_roundtrip_report(m, max_entry=2) -> dict:
             f"more than the bound 2^{MAX_ROUNDTRIP_LOG2}",
             "m" if 2 * m > MAX_ROUNDTRIP_LOG2 else "max_entry")
     count, failures = 0, []
-    for sig in signatures_with_entries_at_most(m, max_entry):
+    for r in itertools.product(range(max_entry + 1), repeat=2 * m):
         count += 1
-        got = signature_from_k0h1(k0_matrix(sig), h1(sig))
-        if got.r != sig.r:
-            failures.append({"signature": list(sig.r), "got": list(got.r)})
+        got = _recover(m, _k0_flat(m, r), sum(r[0::2]) - sum(r[1::2]))
+        if got != r:
+            failures.append({"signature": list(r), "got": list(got)})
     return {
         "check": "k0h1-roundtrip",
         "m": m,

@@ -6,13 +6,21 @@ by enumerating unital signatures level by level, or by searching levels for a
 certified congruence state period.
 """
 
+import itertools
 import json
 import math
 from fractions import Fraction
 from functools import lru_cache
 
 from cyclealg.limits import ScaleMembership, is_extreme
-from cyclealg.signatures import CycleAlgebraShape, joint_scale_finite
+from cyclealg.signatures import (
+    CycleAlgebraShape,
+    JointScaleElement,
+    Signature,
+    h1,
+    joint_scale_finite,
+    k0_matrix,
+)
 
 # Largest total multiplicity for which the m=3 signature enumeration is run in
 # full; beyond this the split reduction below is used (validated against the
@@ -55,6 +63,27 @@ def cli_battery(tmp_path):
         ["verify", "composition-oracle", "--m", "3", "--json"],
         ["verify", "lemma42-roundtrip", "--m", "3", "--max-entry", "1", "--json"],
     ]
+
+
+def signatures_with_entries_at_most(m, bound):
+    """All signatures with every entry <= bound (includes the zero signature)."""
+    for r in itertools.product(range(bound + 1), repeat=2 * m):
+        yield Signature(m, r)
+
+
+def compositions(total, parts):
+    """All tuples of ``parts`` nonnegative integers with the given sum, in lex order."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def scale_element(sig):
+    """The joint-scale element contributed by a rigid embedding with this signature."""
+    return JointScaleElement(tuple(row[0] + row[sig.m] for row in k0_matrix(sig)), h1(sig))
 
 
 def full_enum_feasible(m, total):

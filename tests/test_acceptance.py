@@ -12,6 +12,7 @@ from conftest import (
     FULL_ENUM_LIMIT,
     brute_scale_contains,
     cli_battery,
+    signatures_with_entries_at_most,
     unital_h1_contains_split,
     unital_h1_set_full,
 )
@@ -37,7 +38,6 @@ from cyclealg.signatures import (
     k0_is_rigid_type,
     k0_matrix,
     k0h1_roundtrip_report,
-    signatures_with_entries_at_most,
 )
 
 

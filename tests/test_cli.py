@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from conftest import cli_battery, loop_scale_contains
+from conftest import cli_battery, loop_scale_contains, signatures_with_entries_at_most
 
 import cyclealg.cli as cli
 import cyclealg.limits as limits
@@ -18,7 +18,7 @@ from cyclealg.cli import MAX_HALF_LENGTH, main, parse_tower_spec
 from cyclealg.errors import SpecValidationError
 from cyclealg.limits import LimitScaleQuery, StationaryMatroidTower, stationary_prefix
 from cyclealg.matrix_model import MAX_ORACLE_HALF_LENGTH
-from cyclealg.signatures import h1, k0_is_rigid_type, k0_matrix, signatures_with_entries_at_most
+from cyclealg.signatures import h1, k0_is_rigid_type, k0_matrix
 
 STATIONARY = {"schema_version": 1, "m": 3, "mode": "stationary_matroid", "d": 4, "s": 6}
 EXPLICIT = {

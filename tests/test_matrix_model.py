@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import signatures_with_entries_at_most
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,7 +32,6 @@ from cyclealg.signatures import (
     k0_matrix,
     permutation_matrix,
     signature_compose,
-    signatures_with_entries_at_most,
 )
 
 HEXAGON_MASK = np.array([

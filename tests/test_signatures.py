@@ -1,15 +1,17 @@
 import itertools
 import re
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import compose_images
-from hypothesis import given, settings
+from conftest import compose_images, compositions, scale_element, signatures_with_entries_at_most
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cyclealg.cycle_core import enumerate_automorphisms
+from cyclealg.cycle_core import enumerate_automorphisms, parity_order
 from cyclealg.errors import (
+    CycleAlgebraError,
     EnumerationBoundError,
     HomologyRangeError,
     IncompatibleError,
@@ -21,7 +23,6 @@ from cyclealg.signatures import (
     CycleAlgebraShape,
     JointScaleElement,
     Signature,
-    compositions,
     h1,
     homology_range,
     joint_scale_finite,
@@ -29,10 +30,8 @@ from cyclealg.signatures import (
     k0_matrix,
     k0h1_roundtrip_report,
     permutation_matrix,
-    scale_element,
     signature_compose,
     signature_from_k0h1,
-    signatures_with_entries_at_most,
     unit_signatures,
 )
 
@@ -109,12 +108,38 @@ def test_k0_constant_signatures(p, q):
     assert h1(sig) == 3 * (p - q)
 
 
-def test_k0_matches_permutation_sum():
-    # direct rebuild from released permutation matrices
-    for sig in (sig3(2, 0, 1, 0, 0, 3), sig3(0, 1, 0, 1, 2, 0)):
-        expected = sum(rj * permutation_matrix(t)
-                       for rj, t in zip(sig.r, enumerate_automorphisms(3)))
-        assert np.array_equal(k0_matrix(sig), expected)
+def k0_by_action(sig):
+    """sum_j r_j P(theta_j) in Python ints, each class placed vertex by vertex through act."""
+    order = parity_order(sig.m)
+    rows = [[0] * len(order) for _ in order]
+    for rj, theta in zip(sig.r, enumerate_automorphisms(sig.m)):
+        for v in order:
+            rows[order.index(theta.act(v))][order.index(v)] += rj
+    return rows
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(3, 16).flatmap(lambda m: st.lists(
+    st.one_of(st.integers(0, 4), st.integers(0, 2 ** 200)),
+    min_size=2 * m, max_size=2 * m).map(lambda r: Signature(m, tuple(r)))))
+@example(sig3(2, 0, 1, 0, 0, 3))
+@example(sig3(0, 1, 0, 1, 2, 0))
+@example(Signature(4, (0, 1, 0, 1, 2, 0, 2 ** 200, 7)))
+def test_k0_matches_permutation_sum(sig):
+    mat = k0_matrix(sig)
+    expected = k0_by_action(sig)
+    assert mat == expected
+    assert type(mat) is list and all(type(row) is list for row in mat)
+    assert all(type(x) is int for row in mat for x in row)
+    if max(sig.r) < 2 ** 31:  # the released int64 permutation matrices, where they do not wrap
+        released = sum(rj * permutation_matrix(t)
+                       for rj, t in zip(sig.r, enumerate_automorphisms(sig.m)))
+        assert np.array_equal(mat, released)
+    # the rows are fresh: writing into them leaves the next matrix alone
+    for row in mat:
+        row[0] += 1
+    mat.append([])
+    assert k0_matrix(sig) == expected
 
 
 def test_k0_block_diagonal_parity():
@@ -252,6 +277,41 @@ def test_recovery_examples():
         signature_from_k0h1(np.diag([2, 1, 1, 1, 1, 1]), 0)
 
 
+EYE_ROWS = [[int(i == j) for j in range(6)] for i in range(6)]
+
+
+@pytest.mark.parametrize("mat,h,error,message", [
+    ([row[:5] if i == 2 else row for i, row in enumerate(EYE_ROWS)], 1, InvalidIndexError,
+     "expected a 2m x 2m matrix with m >= 3, got shape (6, 5, 6)"),
+    (np.eye(4, dtype=np.int64), 1, InvalidIndexError,
+     "expected a 2m x 2m matrix with m >= 3, got shape (4, 4)"),
+    ([[1.0 if i == j else 0 for j in range(6)] for i in range(6)], 1, InvalidIndexError,
+     "vertex-multiplicity matrix must be integer"),
+    ([[-1 if (i, j) == (0, 3) else int(i == j) for j in range(6)] for i in range(6)], 1,
+     InvalidIndexError, "vertex-multiplicity matrix must be nonnegative"),
+    (np.diag([2, 1, 1, 1, 1, 1]), 0, K0NotRigidTypeError,
+     "matrix is not a sum of automorphism permutation matrices"),
+    (EYE_ROWS, -1, HomologyRangeError,
+     "homology value -1 is outside the homology range {1 + 6k : k = 0, .., 0} of this matrix"),
+], ids=["ragged", "4x4", "float", "negative", "not-a-permutation-sum", "h-outside"])
+def test_recovery_refusals_keep_type_and_message(mat, h, error, message):
+    with pytest.raises(CycleAlgebraError) as caught:
+        signature_from_k0h1(mat, h)
+    assert type(caught.value) is error and str(caught.value) == message
+
+
+@pytest.mark.parametrize("h", [1.0, True, "1"])
+def test_recovery_refuses_a_non_integer_homology_value(h):
+    with pytest.raises(InvalidIndexError, match="homology value must be an integer") as caught:
+        signature_from_k0h1(EYE_ROWS, h)
+    assert caught.value.name == "h"
+
+
+def test_recovery_accepts_a_numpy_integer_homology_value():
+    got = signature_from_k0h1(EYE_ROWS, np.int64(1))
+    assert got == sig3(1, 0, 0, 0, 0, 0) and all(type(x) is int for x in got.r)
+
+
 def test_fibre_input_validation():
     with pytest.raises(InvalidIndexError, match=r"got shape \(4, 4\)"):
         k0_is_rigid_type(np.eye(4, dtype=np.int64))
@@ -292,13 +352,39 @@ def test_roundtrip_exhaustive_small():
     assert report["ok"] and report["count"] == 64
 
 
+def test_roundtrip_checks_the_shared_recovery(monkeypatch):
+    # a recovery that answers the next member of the shift family must be caught
+    import cyclealg.signatures as signatures
+    recover = signatures._recover
+    monkeypatch.setattr(signatures, "_recover",
+                        lambda m, flat, h: signatures._shift(recover(m, flat, h), 1))
+    report = k0h1_roundtrip_report(3, max_entry=1)
+    assert not report["ok"] and report["count"] == 64 and len(report["failures"]) == 64
+    assert report["failures"][0] == {"signature": [0] * 6, "got": [1, -1] * 3}
+    # the public recovery runs the same code
+    assert signature_from_k0h1(EYE_ROWS, 1).r == (2, -1, 1, -1, 1, -1)
+
+
+@pytest.mark.parametrize("max_entry", [1.5, 1.0, True, "1", None])
+def test_roundtrip_refuses_a_non_integer_max_entry(max_entry):
+    with pytest.raises(InvalidIndexError, match="max_entry must be an integer") as caught:
+        k0h1_roundtrip_report(3, max_entry)
+    assert caught.value.name == "max_entry"
+
+
+def test_roundtrip_reads_a_numpy_integer_max_entry():
+    report = k0h1_roundtrip_report(np.int64(3), np.int64(1))
+    assert report["ok"] and report["count"] == 64
+    assert type(report["m"]) is int and type(report["max_entry"]) is int
+
+
 @pytest.mark.parametrize("m,max_entry,refused", [
     (8, 1, False), (4, 3, False),  # exactly 2^16 signatures
     (9, 1, True), (4, 4, True), (3, 6, True)])
 def test_roundtrip_bound(monkeypatch, m, max_entry, refused):
     # the bound is decided before the enumeration starts, which is stubbed out here
     import cyclealg.signatures as signatures
-    monkeypatch.setattr(signatures, "signatures_with_entries_at_most", lambda m, bound: ())
+    monkeypatch.setattr(signatures, "itertools", SimpleNamespace(product=lambda *a, **k: ()))
     if refused:
         with pytest.raises(EnumerationBoundError, match="more than the bound 2"):
             k0h1_roundtrip_report(m, max_entry)
