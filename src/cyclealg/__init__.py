@@ -1,95 +1,3 @@
 """Exact invariants and matrix-model verification for towers of 2m-cycle algebras."""
 
 __version__ = "0.1.0"
-
-from .cycle_core import (
-    DihedralElement,
-    dihedral_compose,
-    dihedral_inverse,
-    enumerate_automorphisms,
-)
-from .errors import CycleAlgebraError
-from .limits import (
-    ExplicitTower,
-    IsomorphismVerdict,
-    LimitScaleQuery,
-    LocalizedGroup,
-    StationaryMatroidTower,
-    SupernaturalNumber,
-    decide_isomorphism,
-    enumerate_S,
-    finite_level_invariants,
-    h1_limit,
-    is_extreme,
-    is_homologically_limited,
-    k0_limit,
-    stationary_prefix,
-    unital_joint_scale_contains,
-    unital_scale_numerators,
-)
-from .matrix_model import (
-    ConcreteEmbedding,
-    MatrixAlgebraModel,
-    basic_model,
-    compose_embeddings,
-    decompose_signature,
-    distance_to_partial_isometry,
-    locally_regular_check,
-    nonregular_embedding_example,
-    realize_rigid,
-)
-from .signatures import (
-    CycleAlgebraShape,
-    JointScaleElement,
-    Signature,
-    h1,
-    homology_range,
-    joint_scale_finite,
-    k0_is_rigid_type,
-    k0_matrix,
-    signature_compose,
-    signature_from_k0h1,
-)
-
-__all__ = [
-    "DihedralElement",
-    "dihedral_compose",
-    "dihedral_inverse",
-    "enumerate_automorphisms",
-    "CycleAlgebraError",
-    "ExplicitTower",
-    "IsomorphismVerdict",
-    "LimitScaleQuery",
-    "LocalizedGroup",
-    "StationaryMatroidTower",
-    "SupernaturalNumber",
-    "decide_isomorphism",
-    "enumerate_S",
-    "finite_level_invariants",
-    "h1_limit",
-    "is_extreme",
-    "is_homologically_limited",
-    "k0_limit",
-    "stationary_prefix",
-    "unital_joint_scale_contains",
-    "unital_scale_numerators",
-    "ConcreteEmbedding",
-    "MatrixAlgebraModel",
-    "basic_model",
-    "compose_embeddings",
-    "decompose_signature",
-    "distance_to_partial_isometry",
-    "locally_regular_check",
-    "nonregular_embedding_example",
-    "realize_rigid",
-    "CycleAlgebraShape",
-    "JointScaleElement",
-    "Signature",
-    "h1",
-    "homology_range",
-    "joint_scale_finite",
-    "k0_is_rigid_type",
-    "k0_matrix",
-    "signature_compose",
-    "signature_from_k0h1",
-]

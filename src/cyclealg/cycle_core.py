@@ -19,7 +19,6 @@ Vertices are kept 1-based with representatives in {1, .., 2m}.  Composition
 
 from __future__ import annotations
 
-import functools
 import operator
 from dataclasses import dataclass
 
@@ -130,20 +129,6 @@ def dihedral_inverse(e: DihedralElement) -> DihedralElement:
     if e.reflected:
         return e
     return DihedralElement(e.m, (-e.shift) % e.m, False)
-
-
-@functools.lru_cache(maxsize=None)
-def _images_index(m):
-    return {cand.images(): cand for cand in enumerate_automorphisms(m)}
-
-
-def element_from_images(m, images) -> DihedralElement:
-    """Recover the automorphism with the given vertex images, if one exists."""
-    images = tuple(images)
-    found = _images_index(m).get(images)
-    if found is None:
-        raise InvalidIndexError(f"no automorphism of D_{2 * m} has images {images}")
-    return found
 
 
 def parity_order(m):

@@ -40,10 +40,6 @@ class UnsupportedInputError(CycleAlgebraError, ValueError):
     """The input is outside the supported normal form (e.g. not standard form)."""
 
 
-class DecompositionError(CycleAlgebraError, RuntimeError):
-    """A concrete embedding could not be matched into multiplicity-one summands."""
-
-
 class InvalidTowerError(CycleAlgebraError, ValueError):
     """A tower description violates a capacity or shape condition.
 

@@ -5,12 +5,13 @@ M_N (N = sum n_v) in block matrix staircase form: fully supported diagonal
 blocks, plus for each odd (range) vertex i the blocks (i, i+1) and
 (i, i-1), indices cyclic so row 1 also sees column 2m.
 
-This module realizes rigid embeddings as explicit matrix-unit maps, recovers
-multiplicity signatures from such realizations (the brute-force oracle for
-the exact arithmetic in :mod:`cyclealg.signatures`), and carries the
-numerical verification harnesses: entrywise partial-isometry checks,
-perturbation sweeps, and the concrete locally-regular-but-not-regular
-embedding of the 4-cycle algebra.
+This module realizes rigid embeddings as explicit matrix-unit maps, reads
+the multiplicity signature of such a realization back from its two
+invariants (the K0 matrix of the diagonal units and the H1 count of the
+image of e_12, resolved by :func:`cyclealg.signatures.signature_from_k0h1`),
+and carries the numerical verification harnesses: entrywise
+partial-isometry checks, perturbation sweeps, and the concrete
+locally-regular-but-not-regular embedding of the 4-cycle algebra.
 """
 
 from __future__ import annotations
@@ -26,13 +27,12 @@ import numpy as np
 from .cycle_core import (
     DihedralElement,
     check_half_length,
-    element_from_images,
+    check_integer,
     enumerate_automorphisms,
     parity_position,
 )
 from .errors import (
     CapacityError,
-    DecompositionError,
     EnumerationBoundError,
     IncompatibleError,
     InvalidIndexError,
@@ -53,6 +53,9 @@ _STACK_ENTRIES = 1 << 14
 #: Largest half-length of the composition oracle, whose (2m)^2 realize and
 #: decompose pairs cost O(m^2) each: about 1.3 s at m = 16, minutes at m = 64.
 MAX_ORACLE_HALF_LENGTH = 16
+#: Most trials x N^2 entries of one harness run, whose time and ``lemma31``
+#: report grow linearly with trials: about 2 s and 1.8 MB at 20,000 trials, N = 12.
+MAX_HARNESS_ENTRIES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -314,7 +317,7 @@ def compose_embeddings(f: ConcreteEmbedding, g: ConcreteEmbedding) -> ConcreteEm
 
 
 # ---------------------------------------------------------------------------
-# Signature recovery (the decomposition oracle)
+# Signature recovery from K0 and H1
 # ---------------------------------------------------------------------------
 
 def _standard_pieces(emb: ConcreteEmbedding, key, tol):
@@ -329,88 +332,39 @@ def _standard_pieces(emb: ConcreteEmbedding, key, tol):
     return pieces
 
 
-def _cycle_unit_coords(m):
-    """Flat coordinates of the distinguished 2m-cycle E_1 .. E_{2m} in the basic model.
-
-    E_{2k-1} = e_{2k-1, 2k} and E_{2k} = e_{2k+1, 2k} (cyclically), so
-    consecutive elements alternately share source and range vertices.
-    """
-    coords = []
-    for k in range(1, m + 1):
-        coords.append((2 * k - 2, 2 * k - 1))
-        coords.append(((2 * k) % (2 * m), 2 * k - 1))
-    return coords
-
-
 def decompose_signature(emb: ConcreteEmbedding, tol=_PIECE_TOL) -> Signature:
-    """Recover the multiplicity signature of a standard-form rigid embedding.
+    """Recover the multiplicity signature of a standard-form rigid embedding
+    from its two invariants, K0 and H1.
 
-    The vertex-multiplicity matrix is read off from ranks of images of the
-    diagonal matrix units.  The homology value is found by chaining the
-    pieces of the images of the distinguished 2m-cycle through shared
-    initial/final projections; every matched cycle contributes +1 when its
-    induced vertex permutation is a rotation and -1 when a reflection.  The
-    pair is then resolved through :func:`signature_from_k0h1`.
+    The source's first slot at every vertex spans a copy of the basic
+    algebra, whose matrix units e_vw sit at ``(starts[v - 1], starts[w - 1])``.
+    K0, the vertex-multiplicity matrix, counts the pieces of the image of each
+    diagonal unit e_jj by target vertex.  H1 is read from the image of e_12:
+    each piece (r, c) is one summand, carrying vertex 1 to a = vertex(r) and
+    vertex 2 to b = vertex(c).  It counts +1 when b = a + 1 (a rotation) and
+    -1 when b = a - 1 (a reflection), cyclically; no automorphism gives any
+    other b.  The pair is resolved through :func:`signature_from_k0h1`.
     """
-    m = emb.source.m
-    check_half_length(m, minimum=3)
-    basic = basic_model(m)
-    if emb.source != basic:
-        probe = realize_rigid(Signature.unit(DihedralElement.identity(m)), emb.source, basic)
-        emb = compose_embeddings(probe, emb)
-
-    target = emb.target
-    mat = [[0] * (2 * m) for _ in range(2 * m)]
-    for j in range(1, 2 * m + 1):
-        pieces = _standard_pieces(emb, (j - 1, j - 1), tol)
-        for (r, c, _) in pieces:
+    m, corner, vertex = emb.source.m, emb.source.starts, emb.target.vertex_of_index
+    two_m = 2 * check_half_length(m, minimum=3)
+    mat = [[0] * two_m for _ in range(two_m)]
+    for j in range(1, two_m + 1):
+        for (r, c, _) in _standard_pieces(emb, (corner[j - 1], corner[j - 1]), tol):
             if r != c:
                 raise UnsupportedInputError("image of a diagonal unit must be diagonal")
-            mat[parity_position(m, target.vertex_of_index(r))][parity_position(m, j)] += 1
-
-    cycle_pieces = [_standard_pieces(emb, key, tol) for key in _cycle_unit_coords(m)]
-    counts = {len(p) for p in cycle_pieces}
-    if len(counts) != 1:
-        raise DecompositionError("cycle images have mismatched numbers of pieces")
-
-    by_col = [{p[1]: p for p in pieces} for pieces in cycle_pieces]
-    by_row = [{p[0]: p for p in pieces} for pieces in cycle_pieces]
-
+            mat[parity_position(m, vertex(r))][parity_position(m, j)] += 1
     h = 0
-    tally = [0] * (2 * m)
-    used = [set() for _ in range(2 * m)]
-    for start in cycle_pieces[0]:
-        chain = [start]
-        for step in range(1, 2 * m):
-            prev = chain[-1]
-            lookup = by_col[step] if step % 2 == 1 else by_row[step]
-            nxt = lookup.get(prev[1] if step % 2 == 1 else prev[0])
-            if nxt is None:
-                raise DecompositionError("cycle pieces do not match into summands")
-            chain.append(nxt)
-        if chain[-1][0] != start[0]:
-            raise DecompositionError("cycle of pieces fails to close up")
-        for step, piece in enumerate(chain):
-            if piece in used[step]:
-                raise DecompositionError("a piece was matched into two summands")
-            used[step].add(piece)
-        images = [0] * (2 * m)
-        for k in range(1, m + 1):
-            images[(2 * k - 1) - 1] = target.vertex_of_index(chain[2 * k - 2][0])
-            images[(2 * k) - 1] = target.vertex_of_index(chain[2 * k - 2][1])
-        try:
-            theta = element_from_images(m, images)
-        except InvalidIndexError as exc:
-            raise DecompositionError(f"summand vertex map is not an automorphism: {images}") from exc
-        h += 1 if theta.is_rotation else -1
-        tally[theta.index - 1] += 1
-
-    sig = signature_from_k0h1(mat, h)
-    if tuple(tally) != sig.r:
-        raise DecompositionError(
-            f"summand tally {tuple(tally)} disagrees with the K0/H1 resolution {sig.r}"
-        )
-    return sig
+    for (r, c, _) in _standard_pieces(emb, (corner[0], corner[1]), tol):
+        a, b = vertex(r), vertex(c)
+        if b == a % two_m + 1:
+            h += 1
+        elif b == (a - 2) % two_m + 1:
+            h -= 1
+        else:
+            raise UnsupportedInputError(
+                f"a piece of the image of e_12 joins vertices {a} and {b}, "
+                "which no automorphism does")
+    return signature_from_k0h1(mat, h)
 
 
 # ---------------------------------------------------------------------------
@@ -425,6 +379,7 @@ def _harness_streams(seed):
     trials takes its blocks in one call per stream, so trial t depends only on
     the seed and the model, never on how the trials are chunked.
     """
+    seed = check_integer(seed, "seed", 0, name="seed")
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3)]
 
 
@@ -585,8 +540,12 @@ def _harness_trials(model: MatrixAlgebraModel, trials, seed, delta=0.0):
         raise InvalidIndexError(f"delta must be finite and nonnegative, got {delta}", "delta")
     if trials < 1:
         raise InvalidIndexError(f"trials must be at least 1, got {trials}", "trials")
-    streams = _harness_streams(seed)
     n = model.dimension
+    if trials * n * n > MAX_HARNESS_ENTRIES:
+        raise EnumerationBoundError(
+            f"{trials} trials of an N = {n} model hold trials * N^2 = {trials * n * n} "
+            f"entries, more than the bound {MAX_HARNESS_ENTRIES}", "trials")
+    streams = _harness_streams(seed)
     mask = model.support_mask() if delta > 0 else None
     pairs = model.supported_block_pairs()
     chunk = max(1, _STACK_ENTRIES // (n * n))

@@ -47,6 +47,8 @@ from .errors import (
 DEFAULT_ENUMERATION_BOUND = 64
 #: ``k0h1_roundtrip_report`` enumerates at most 2^16 signatures.
 MAX_ROUNDTRIP_LOG2 = 16
+#: ``k0_is_rigid_type`` lists fibres of at most 2^16 members.
+MAX_FIBRE_MEMBERS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -229,9 +231,13 @@ def k0_is_rigid_type(mat) -> list:
     """All signatures with the given vertex-multiplicity matrix, in increasing r_1.
 
     A matrix is of rigid type exactly when this fibre (``_fibre``) is nonempty.
+    A fibre of more than ``MAX_FIBRE_MEMBERS`` members is refused, not listed.
     """
     m, flat = _checked_flat(mat)
     base, size = _fibre(m, flat)
+    if size > MAX_FIBRE_MEMBERS:
+        raise EnumerationBoundError(
+            f"the fibre has {size} members, more than the bound {MAX_FIBRE_MEMBERS}")
     return [Signature._of(m, _shift(base, k)) for k in range(size)]
 
 

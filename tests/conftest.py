@@ -1,9 +1,10 @@
 """Shared independent oracles for the test suite.
 
 These deliberately avoid the code paths they are used to check: permutation
-composition works on raw image tuples, and joint-scale membership is decided
-by enumerating unital signatures level by level, or by searching levels for a
-certified congruence state period.
+composition works on raw image tuples, a concrete embedding's signature is
+tallied by chaining its pieces into summands, and joint-scale membership is
+decided by enumerating unital signatures level by level, or by searching
+levels for a certified congruence state period.
 """
 
 import itertools
@@ -12,6 +13,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+from cyclealg.cycle_core import enumerate_automorphisms
 from cyclealg.limits import ScaleMembership, is_extreme
 from cyclealg.signatures import (
     CycleAlgebraShape,
@@ -63,6 +65,47 @@ def cli_battery(tmp_path):
         ["verify", "composition-oracle", "--m", "3", "--json"],
         ["verify", "lemma42-roundtrip", "--m", "3", "--max-entry", "1", "--json"],
     ]
+
+
+def summand_tally(emb):
+    """The signature of a standard-form rigid embedding, tallied summand by summand.
+
+    The distinguished 2m-cycle E_{2k-1} = e_{2k-1, 2k}, E_{2k} = e_{2k+1, 2k}
+    (cyclically) sits at the first slot of each source vertex.  Consecutive
+    E's alternately share a column and a row, so the pieces of their images
+    chain into one closed cycle per summand.  The target vertices of a
+    summand's pieces are its vertex map, looked up among the automorphisms
+    and counted at its label.
+    """
+    source, vertex = emb.source, emb.target.vertex_of_index
+    two_m, corner = 2 * source.m, source.starts
+    by_images = {theta.images(): theta for theta in enumerate_automorphisms(source.m)}
+    keys = []
+    for k in range(1, source.m + 1):
+        column = corner[2 * k - 1]
+        keys += [(corner[2 * k - 2], column), (corner[2 * k % two_m], column)]
+    cycle = [emb.unit_images.get(key, ()) for key in keys]
+    assert len({len(pieces) for pieces in cycle}) == 1, "cycle images differ in piece counts"
+    by_col = [{p[1]: p for p in pieces} for pieces in cycle]
+    by_row = [{p[0]: p for p in pieces} for pieces in cycle]
+    tally = [0] * two_m
+    used = [set() for _ in range(two_m)]
+    for start in cycle[0]:
+        chain = [start]
+        for step in range(1, two_m):
+            # odd steps share the previous piece's column, even steps its row
+            nxt = by_col[step].get(chain[-1][1]) if step % 2 else by_row[step].get(chain[-1][0])
+            assert nxt is not None, "cycle pieces do not match into summands"
+            chain.append(nxt)
+        assert chain[-1][0] == start[0], "cycle of pieces fails to close up"
+        for step, piece in enumerate(chain):
+            assert piece not in used[step], "a piece was matched into two summands"
+            used[step].add(piece)
+        # E_{2k-1} carries vertex 2k-1 to its row's vertex and vertex 2k to its column's
+        images = tuple(vertex(piece[i]) for piece in chain[0::2] for i in (0, 1))
+        assert images in by_images, f"summand vertex map {images} is not an automorphism"
+        tally[by_images[images].index - 1] += 1
+    return tuple(tally)
 
 
 def signatures_with_entries_at_most(m, bound):

@@ -17,7 +17,7 @@ import cyclealg.limits as limits
 from cyclealg.cli import MAX_HALF_LENGTH, main, parse_tower_spec
 from cyclealg.errors import SpecValidationError
 from cyclealg.limits import LimitScaleQuery, StationaryMatroidTower, stationary_prefix
-from cyclealg.matrix_model import MAX_ORACLE_HALF_LENGTH
+from cyclealg.matrix_model import MAX_HARNESS_ENTRIES, MAX_ORACLE_HALF_LENGTH
 from cyclealg.signatures import h1, k0_is_rigid_type, k0_matrix
 
 STATIONARY = {"schema_version": 1, "m": 3, "mode": "stationary_matroid", "d": 4, "s": 6}
@@ -599,6 +599,21 @@ def test_verify_refuses_trials_below_one(capsys, target, trials):
     assert capsys.readouterr() == ("", f"error (trials): trials must be at least 1, got {trials}\n")
 
 
+@pytest.mark.parametrize("argv,code", [
+    # the largest harness op of the benchmark, 86 trials at N = 36
+    (["lemma31", "--m", "6", "--dims", "3", "--trials", "86", "--delta", "1e-6"], 0),
+    # one trial past the bound at N = 12
+    (["lemma22", "--m", "3", "--dims", "2", "--trials", str(MAX_HARNESS_ENTRIES // 144 + 1)], 2),
+])
+def test_verify_refuses_trials_beyond_the_entry_bound(capsys, argv, code):
+    assert main(["verify", *argv, "--json"]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.out == ""
+        assert captured.err.startswith("error (trials): ")
+        assert f"more than the bound {MAX_HARNESS_ENTRIES}" in captured.err
+
+
 @pytest.mark.parametrize("flag,target,name", [
     ("--delta", "lemma31", "delta"), ("--epsilon", "lemma31", "epsilon"),
     ("--tol", "lemma22", "tolerance")])
@@ -639,6 +654,8 @@ def test_verify_roundtrip_refuses_empty_runs(capsys, max_entry):
     (["lemma22", "--tol", "0"], "tol", "tolerance must be finite and positive, got 0.0"),
     (["lemma22", "--dims", "0"], "dims", "vertex multiplicity must be >= 1, got 0"),
     (["lemma31", "--dims", "1,1,1,1,1,0"], "dims", "vertex multiplicity must be >= 1, got 0"),
+    (["lemma22", "--seed", "-1"], "seed", "seed must be >= 0, got -1"),
+    (["lemma31", "--seed", "-1"], "seed", "seed must be >= 0, got -1"),
 ])
 def test_verify_refusals_name_their_flag(capsys, argv, field, message):
     assert main(["verify", *argv, "--trials", "1", "--json"]) == 2

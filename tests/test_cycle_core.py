@@ -10,7 +10,6 @@ from cyclealg.cycle_core import (
     check_integer,
     dihedral_compose,
     dihedral_inverse,
-    element_from_images,
     enumerate_automorphisms,
     parity_order,
     parity_position,
@@ -149,10 +148,3 @@ def test_parity_order_and_positions():
         for pos, v in enumerate(order):
             assert parity_position(m, v) == pos
 
-
-def test_element_from_images_roundtrip():
-    for m in (3, 4):
-        for a in enumerate_automorphisms(m):
-            assert element_from_images(m, a.images()) == a
-    with pytest.raises(InvalidIndexError):
-        element_from_images(3, (2, 1, 3, 4, 5, 6))

@@ -1,17 +1,20 @@
 import numpy as np
 import pytest
-from conftest import signatures_with_entries_at_most
+from conftest import signatures_with_entries_at_most, summand_tally
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclealg.cycle_core import enumerate_automorphisms
 from cyclealg.errors import (
     CapacityError,
+    HomologyRangeError,
     IncompatibleError,
     InvalidIndexError,
+    K0NotRigidTypeError,
     UnsupportedInputError,
 )
 from cyclealg.matrix_model import (
+    ConcreteEmbedding,
     MatrixAlgebraModel,
     _block_defects,
     basic_model,
@@ -24,6 +27,7 @@ from cyclealg.matrix_model import (
     max_minimal_compression_distance,
     nonregular_embedding_example,
     perturbed_entry_report,
+    random_model_partial_isometry,
     realize_rigid,
 )
 from cyclealg.signatures import (
@@ -254,15 +258,26 @@ def test_composition_oracle_pins_convolution_orientation():
     assert report["ok"] and report["matches"] == 36
 
 
-@pytest.mark.parametrize("m", [3, 5])
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
 def test_composition_oracle_realizes_each_unit_embedding_once(monkeypatch, m):
     from cyclealg import matrix_model
     calls = []
     real = matrix_model.realize_rigid
     monkeypatch.setattr(matrix_model, "realize_rigid",
                         lambda *args, **kwargs: calls.append(args[0].r) or real(*args, **kwargs))
+    decomposed = []
+    real_decompose = matrix_model.decompose_signature
+
+    def decompose(emb):
+        # every pair's K0/H1 reading agrees with the summand chain
+        sig = real_decompose(emb)
+        assert summand_tally(emb) == sig.r
+        decomposed.append(sig)
+        return sig
+
+    monkeypatch.setattr(matrix_model, "decompose_signature", decompose)
     report = composition_oracle_report(m)
-    assert report["ok"] and report["matches"] == (2 * m) ** 2
+    assert report["ok"] and report["matches"] == len(decomposed) == (2 * m) ** 2
     assert sorted(calls) == sorted(Signature.unit(theta).r for theta in enumerate_automorphisms(m))
 
 
@@ -271,9 +286,24 @@ def test_decompose_rejects_non_standard_form():
     emb = realize_rigid(Signature.unit(enumerate_automorphisms(3)[0]), unit)
     bad = dict(emb.unit_images)
     bad[(0, 0)] = ((0, 0, 0.5 + 0j),)
-    from cyclealg.matrix_model import ConcreteEmbedding
     with pytest.raises(UnsupportedInputError):
         decompose_signature(ConcreteEmbedding(unit, unit, bad))
+
+
+@pytest.mark.parametrize("key,pieces,error", [
+    # e_12 carried from vertex 1 to vertex 4: no automorphism moves 2 that far from 1
+    ((0, 1), ((0, 3, 1.0 + 0j),), UnsupportedInputError),
+    # e_11 on two target vertices: the K0 column sums differ, no sum of permutations
+    ((0, 0), ((0, 0, 1.0 + 0j), (2, 2, 1.0 + 0j)), K0NotRigidTypeError),
+    # e_12 read as a reflection while K0 is the identity's, whose fibre has h = 1 only
+    ((0, 1), ((0, 5, 1.0 + 0j),), HomologyRangeError),
+])
+def test_decompose_refuses_what_k0_and_h1_do_not_resolve(key, pieces, error):
+    unit = basic_model(3)
+    images = dict(realize_rigid(Signature.unit(enumerate_automorphisms(3)[0]), unit).unit_images)
+    images[key] = pieces
+    with pytest.raises(error):
+        decompose_signature(ConcreteEmbedding(unit, unit, images))
 
 
 def _assert_rigid_roundtrip(max_entry, count):
@@ -283,7 +313,8 @@ def _assert_rigid_roundtrip(max_entry, count):
     sigs = [s for s in signatures_with_entries_at_most(3, max_entry) if not s.is_zero]
     assert len(sigs) == count
     for sig in sigs:
-        assert decompose_signature(realize_rigid(sig, target)).r == sig.r
+        emb = realize_rigid(sig, target)
+        assert decompose_signature(emb).r == summand_tally(emb) == sig.r
 
 
 def test_realize_decompose_roundtrip_sample():
@@ -302,11 +333,11 @@ def test_decompose_from_larger_source():
     target = MatrixAlgebraModel(3, (6,) * 6)
     first = realize_rigid(Signature(3, (1, 1, 0, 0, 0, 0)), mid)
     second = realize_rigid(Signature(3, (1, 0, 1, 0, 0, 0)), target, source=mid)
-    assert decompose_signature(second).r == (1, 0, 1, 0, 0, 0)
+    assert decompose_signature(second).r == summand_tally(second) == (1, 0, 1, 0, 0, 0)
     comp = compose_embeddings(first, second)
     expected = signature_compose(Signature(3, (1, 1, 0, 0, 0, 0)),
                                  Signature(3, (1, 0, 1, 0, 0, 0)))
-    assert decompose_signature(comp).r == expected.r
+    assert decompose_signature(comp).r == summand_tally(comp) == expected.r
 
 
 def test_unitary_conjugation_preserves_measured_ranks():
@@ -340,6 +371,13 @@ def test_entrywise_report_exact():
 def test_entrywise_report_rejects_four_cycles():
     with pytest.raises(InvalidIndexError):
         entrywise_partial_isometry_report(basic_model(2), trials=1)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True])
+def test_random_model_partial_isometry_refuses_a_bad_seed(seed):
+    with pytest.raises(InvalidIndexError) as caught:
+        random_model_partial_isometry(basic_model(3), seed)
+    assert caught.value.name == "seed"
 
 
 def test_identity_element_has_zero_deviation():

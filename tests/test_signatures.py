@@ -20,6 +20,7 @@ from cyclealg.errors import (
 )
 from cyclealg.limits import progression
 from cyclealg.signatures import (
+    MAX_FIBRE_MEMBERS,
     CycleAlgebraShape,
     JointScaleElement,
     Signature,
@@ -262,6 +263,16 @@ def test_fibre_empty_for_parity_crossing_matrix():
 def test_fibre_empty_for_non_rigid_diagonal():
     mat = np.diag([2, 1, 1, 1, 1, 1]).astype(np.int64)
     assert k0_is_rigid_type(mat) == []
+
+
+def test_fibre_beyond_the_bound_refused_before_listing():
+    # the fibre has min(rotations) + min(reflections) + 1 members: 2^16 here
+    half = MAX_FIBRE_MEMBERS // 2
+    assert len(k0_is_rigid_type(k0_matrix(sig3(half, half - 1, half, half - 1, half, half - 1)))) \
+        == MAX_FIBRE_MEMBERS
+    # and 2 * 10^30 + 1 here, refused before any member is built
+    with pytest.raises(EnumerationBoundError, match=f"more than the bound {MAX_FIBRE_MEMBERS}$"):
+        k0_is_rigid_type(k0_matrix(Signature(3, (10 ** 30,) * 6)))
 
 
 def test_recovery_examples():
