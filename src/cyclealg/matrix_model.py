@@ -5,13 +5,16 @@ M_N (N = sum n_v) in block matrix staircase form: fully supported diagonal
 blocks, plus for each odd (range) vertex i the blocks (i, i+1) and
 (i, i-1), indices cyclic so row 1 also sees column 2m.
 
-This module realizes rigid embeddings as explicit matrix-unit maps, reads
-the multiplicity signature of such a realization back from its two
-invariants (the K0 matrix of the diagonal units and the H1 count of the
-image of e_12, resolved by :func:`cyclealg.signatures.signature_from_k0h1`),
-and carries the numerical verification harnesses: entrywise
-partial-isometry checks, perturbation sweeps, and the concrete
-locally-regular-but-not-regular embedding of the 4-cycle algebra.
+This module realizes rigid embeddings as summand slot maps, injective maps
+of source flat indices to target flat indices in exact ints; composes them;
+and reads the multiplicity signature of such a realization back from its
+two invariants (K0, the target vertices of the summands' diagonal slots,
+and H1, one rotation or reflection count per summand from the image of
+e_12, resolved by :func:`cyclealg.signatures.signature_from_k0h1`).
+Floats enter only through :meth:`ConcreteEmbedding.apply` and the numerical
+verification harnesses: entrywise partial-isometry checks, perturbation
+sweeps, and the concrete locally-regular-but-not-regular embedding of the
+4-cycle algebra.
 """
 
 from __future__ import annotations
@@ -46,12 +49,12 @@ from .signatures import (
     unit_signatures,
 )
 
-_PIECE_TOL = 1e-9
 #: Most complex entries held by one stacked array of the harness and of the
 #: local-regularity check: the harness runs max(1, 2^14 // N^2) trials at a time.
 _STACK_ENTRIES = 1 << 14
-#: Largest half-length of the composition oracle, whose (2m)^2 realize and
-#: decompose pairs cost O(m^2) each: about 1.3 s at m = 16, minutes at m = 64.
+#: Largest half-length of the composition oracle, whose (2m)^2 compose and
+#: decompose pairs cost O(m^2) each: on a 2-vCPU x86-64 VM about 0.2 s at
+#: m = 16 and 3 s at m = 32, so about 45 s at m = 64.
 MAX_ORACLE_HALF_LENGTH = 16
 #: Most trials x N^2 entries of one harness run, whose time and ``lemma31``
 #: report grow linearly with trials: about 2 s and 1.8 MB at 20,000 trials, N = 12.
@@ -205,57 +208,65 @@ def max_minimal_compression_distance(x, model: MatrixAlgebraModel) -> float:
 # Concrete embeddings
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class ConcreteEmbedding:
-    """A star-extendible embedding given by images of matrix units.
+    """A rigid embedding in standard form: a direct sum of multiplicity-one summands.
 
-    ``unit_images`` maps each supported source matrix unit (row, col) in flat
-    coordinates to a tuple of pieces (row, col, value) in the target; in
-    standard form every piece has unimodular value and pieces share no rows
-    or columns.
+    ``slot_maps`` holds one tuple per summand, whose entry i is the target
+    flat index of source flat index i: the summand carries the source matrix
+    unit e_ij to the target matrix unit at (s[i], s[j]).  Every map has one
+    index per source index, and no target index is used twice.
     """
 
     source: MatrixAlgebraModel
     target: MatrixAlgebraModel
-    unit_images: dict = field(repr=False)
+    slot_maps: tuple = field(repr=False)
 
-    def image_of_unit(self, r, c) -> np.ndarray:
-        out = np.zeros((self.target.dimension, self.target.dimension), dtype=complex)
-        for (rr, cc, val) in self.unit_images[(r, c)]:
-            out[rr, cc] += val
-        return out
+    def __post_init__(self):
+        n, size = self.source.dimension, self.target.dimension
+        maps = tuple(tuple(check_integer(t, "target index") for t in s) for s in self.slot_maps)
+        flat = [t for s in maps for t in s]
+        if any(len(s) != n for s in maps):
+            raise InvalidIndexError(f"each slot map needs {n} target indices, one per source index")
+        if not all(0 <= t < size for t in flat):
+            raise InvalidIndexError(f"target indices must lie in 0..{size - 1}")
+        if len(set(flat)) != len(flat):
+            raise InvalidIndexError("a target index is used twice")
+        object.__setattr__(self, "slot_maps", maps)
 
-    def apply(self, x, tol=_PIECE_TOL) -> np.ndarray:
+    def apply(self, x, tol=1e-9) -> np.ndarray:
         """Image of a source-algebra element (entries must respect the mask)."""
         x = np.asarray(x, dtype=complex)
         n = self.source.dimension
         if x.shape != (n, n):
             raise InvalidIndexError(f"expected a {n} x {n} matrix, got shape {x.shape}")
-        off_mask = np.abs(x[~self.source.support_mask()])
+        mask = self.source.support_mask()
+        off_mask = np.abs(x[~mask])
         if off_mask.size and off_mask.max() > tol:
             raise UnsupportedInputError("element is not supported in the source algebra")
+        x = np.where(mask, x, 0)
         out = np.zeros((self.target.dimension, self.target.dimension), dtype=complex)
-        for (r, c), pieces in self.unit_images.items():
-            val = x[r, c]
-            if val == 0:
-                continue
-            for (rr, cc, w) in pieces:
-                out[rr, cc] += val * w
+        for s in self.slot_maps:
+            out[np.ix_(s, s)] = x
         return out
 
 
-def _slot_maps(sig: Signature, source: MatrixAlgebraModel, target: MatrixAlgebraModel):
-    """Per summand of the signature, the target flat index of every source flat index.
+def realize_rigid(sig: Signature, target: MatrixAlgebraModel,
+                  source: MatrixAlgebraModel = None) -> ConcreteEmbedding:
+    """Block-diagonal direct sum of multiplicity-one embeddings with the given signature.
 
     Summands are placed in label order, each copy of an automorphism theta
     taking the next free slots: source slot (v, p) goes to target slot
     (theta(v), used + p).
     """
+    if sig.is_zero:
+        raise UnsupportedInputError("the zero signature does not define an embedding")
+    source = basic_model(sig.m) if source is None else source
+    if sig.m != source.m or sig.m != target.m:
+        raise IncompatibleError("signature, source and target must share the cycle length")
     used = [0] * (2 * sig.m + 1)  # slots taken so far at each target vertex
     slot_maps = []
     for index, mult in enumerate(sig.r, start=1):
-        if not mult:
-            continue
         theta = DihedralElement.from_index(sig.m, index)
         for _ in range(mult):
             slot_map = []
@@ -270,100 +281,51 @@ def _slot_maps(sig: Signature, source: MatrixAlgebraModel, target: MatrixAlgebra
                 slot_map.extend(range(target.starts[w - 1] + used[w], target.starts[w - 1] + need))
                 used[w] = need
             slot_maps.append(slot_map)
-    return slot_maps
-
-
-def realize_rigid(sig: Signature, target: MatrixAlgebraModel,
-                  source: MatrixAlgebraModel = None) -> ConcreteEmbedding:
-    """Block-diagonal direct sum of multiplicity-one embeddings with the given signature.
-
-    Summands are placed by :func:`_slot_maps`; a matrix unit maps to one
-    matrix unit per summand, listed in summand order.
-    """
-    if sig.is_zero:
-        raise UnsupportedInputError("the zero signature does not define an embedding")
-    source = basic_model(sig.m) if source is None else source
-    if sig.m != source.m or sig.m != target.m:
-        raise IncompatibleError("signature, source and target must share the cycle length")
-
-    slot_maps = _slot_maps(sig, source, target)
-    unit_images = {}
-    for (i, j) in source.supported_block_pairs():
-        for r in source.block_indices(i):
-            for c in source.block_indices(j):
-                unit_images[(r, c)] = tuple((s[r], s[c], 1.0 + 0.0j) for s in slot_maps)
-    return ConcreteEmbedding(source, target, unit_images)
+    return ConcreteEmbedding(source, target, slot_maps)
 
 
 def compose_embeddings(f: ConcreteEmbedding, g: ConcreteEmbedding) -> ConcreteEmbedding:
-    """The composite that applies f first, then g (f's target must be g's source)."""
+    """The composite that applies f first, then g (f's target must be g's source):
+    one summand t . s for every summand s of f and t of g."""
     if f.target != g.source:
         raise IncompatibleError("the target model of the first embedding must equal "
                                 "the source model of the second")
-    unit_images = {}
-    for key, pieces in f.unit_images.items():
-        acc = {}
-        for (r, c, val) in pieces:
-            if (r, c) not in g.unit_images:
-                raise UnsupportedInputError(
-                    f"intermediate unit {(r, c)} is not supported in the middle algebra"
-                )
-            for (rr, cc, w) in g.unit_images[(r, c)]:
-                acc[(rr, cc)] = acc.get((rr, cc), 0.0) + val * w
-        unit_images[key] = tuple(
-            (rr, cc, val) for (rr, cc), val in sorted(acc.items()) if abs(val) > _PIECE_TOL
-        )
-    return ConcreteEmbedding(f.source, g.target, unit_images)
+    return ConcreteEmbedding(f.source, g.target,
+                             [[t[i] for i in s] for s in f.slot_maps for t in g.slot_maps])
 
 
 # ---------------------------------------------------------------------------
 # Signature recovery from K0 and H1
 # ---------------------------------------------------------------------------
 
-def _standard_pieces(emb: ConcreteEmbedding, key, tol):
-    pieces = emb.unit_images.get(key, ())
-    rows = [p[0] for p in pieces]
-    cols = [p[1] for p in pieces]
-    if len(set(rows)) != len(rows) or len(set(cols)) != len(cols):
-        raise UnsupportedInputError("standard form requires pieces with distinct rows and columns")
-    for (_, _, val) in pieces:
-        if abs(abs(val) - 1.0) > tol:
-            raise UnsupportedInputError("standard form requires unimodular matrix-unit coefficients")
-    return pieces
-
-
-def decompose_signature(emb: ConcreteEmbedding, tol=_PIECE_TOL) -> Signature:
-    """Recover the multiplicity signature of a standard-form rigid embedding
-    from its two invariants, K0 and H1.
+def decompose_signature(emb: ConcreteEmbedding) -> Signature:
+    """Recover the multiplicity signature of a rigid embedding from its two
+    invariants, K0 and H1.
 
     The source's first slot at every vertex spans a copy of the basic
-    algebra, whose matrix units e_vw sit at ``(starts[v - 1], starts[w - 1])``.
-    K0, the vertex-multiplicity matrix, counts the pieces of the image of each
-    diagonal unit e_jj by target vertex.  H1 is read from the image of e_12:
-    each piece (r, c) is one summand, carrying vertex 1 to a = vertex(r) and
-    vertex 2 to b = vertex(c).  It counts +1 when b = a + 1 (a rotation) and
-    -1 when b = a - 1 (a reflection), cyclically; no automorphism gives any
-    other b.  The pair is resolved through :func:`signature_from_k0h1`.
+    algebra, whose vertex j sits at flat index ``starts[j - 1]``.  K0, the
+    vertex-multiplicity matrix, counts the summands carrying vertex j to
+    each target vertex.  H1 is read from the image of e_12: a summand
+    carries vertex 1 to a and vertex 2 to b, the target vertices of its
+    images of those two indices.  It counts +1 when b = a + 1 (a rotation)
+    and -1 when b = a - 1 (a reflection), cyclically; no automorphism gives
+    any other b.  The pair is resolved through :func:`signature_from_k0h1`.
     """
     m, corner, vertex = emb.source.m, emb.source.starts, emb.target.vertex_of_index
     two_m = 2 * check_half_length(m, minimum=3)
     mat = [[0] * two_m for _ in range(two_m)]
-    for j in range(1, two_m + 1):
-        for (r, c, _) in _standard_pieces(emb, (corner[j - 1], corner[j - 1]), tol):
-            if r != c:
-                raise UnsupportedInputError("image of a diagonal unit must be diagonal")
-            mat[parity_position(m, vertex(r))][parity_position(m, j)] += 1
     h = 0
-    for (r, c, _) in _standard_pieces(emb, (corner[0], corner[1]), tol):
-        a, b = vertex(r), vertex(c)
+    for s in emb.slot_maps:
+        for j in range(1, two_m + 1):
+            mat[parity_position(m, vertex(s[corner[j - 1]]))][parity_position(m, j)] += 1
+        a, b = vertex(s[corner[0]]), vertex(s[corner[1]])
         if b == a % two_m + 1:
             h += 1
         elif b == (a - 2) % two_m + 1:
             h -= 1
         else:
             raise UnsupportedInputError(
-                f"a piece of the image of e_12 joins vertices {a} and {b}, "
-                "which no automorphism does")
+                f"a summand carries e_12 to vertices {a} and {b}, which no automorphism does")
     return signature_from_k0h1(mat, h)
 
 

@@ -2,7 +2,7 @@
 
 These deliberately avoid the code paths they are used to check: permutation
 composition works on raw image tuples, a concrete embedding's signature is
-tallied by chaining its pieces into summands, and joint-scale membership is
+tallied by chaining the nonzero entries of its unit images into summands, and joint-scale membership is
 decided by enumerating unital signatures level by level, or by searching
 levels for a certified congruence state period.
 """
@@ -12,6 +12,8 @@ import json
 import math
 from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
 
 from cyclealg.cycle_core import enumerate_automorphisms
 from cyclealg.limits import ScaleMembership, is_extreme
@@ -67,15 +69,24 @@ def cli_battery(tmp_path):
     ]
 
 
+def unit_image(emb, r, c):
+    """The image under a concrete embedding of the source matrix unit e_rc."""
+    unit = np.zeros((emb.source.dimension,) * 2)
+    unit[r, c] = 1.0
+    return emb.apply(unit)
+
+
 def summand_tally(emb):
     """The signature of a standard-form rigid embedding, tallied summand by summand.
 
     The distinguished 2m-cycle E_{2k-1} = e_{2k-1, 2k}, E_{2k} = e_{2k+1, 2k}
-    (cyclically) sits at the first slot of each source vertex.  Consecutive
-    E's alternately share a column and a row, so the pieces of their images
-    chain into one closed cycle per summand.  The target vertices of a
-    summand's pieces are its vertex map, looked up among the automorphisms
-    and counted at its label.
+    (cyclically) sits at the first slot of each source vertex.  The pieces of
+    an image are its nonzero entries (row, col), read from the dense matrix
+    and not from the embedding's slot maps.  Consecutive E's alternately
+    share a column and a row, so the pieces of their images chain into one
+    closed cycle per summand.  The target vertices of a summand's pieces are
+    its vertex map, looked up among the automorphisms and counted at its
+    label.
     """
     source, vertex = emb.source, emb.target.vertex_of_index
     two_m, corner = 2 * source.m, source.starts
@@ -84,7 +95,7 @@ def summand_tally(emb):
     for k in range(1, source.m + 1):
         column = corner[2 * k - 1]
         keys += [(corner[2 * k - 2], column), (corner[2 * k % two_m], column)]
-    cycle = [emb.unit_images.get(key, ()) for key in keys]
+    cycle = [tuple(map(tuple, np.argwhere(unit_image(emb, *key)).tolist())) for key in keys]
     assert len({len(pieces) for pieces in cycle}) == 1, "cycle images differ in piece counts"
     by_col = [{p[1]: p for p in pieces} for pieces in cycle]
     by_row = [{p[0]: p for p in pieces} for pieces in cycle]

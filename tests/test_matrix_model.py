@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
-from conftest import signatures_with_entries_at_most, summand_tally
-from hypothesis import given, settings
+from conftest import signatures_with_entries_at_most, summand_tally, unit_image
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cyclealg.cycle_core import enumerate_automorphisms
+from cyclealg.cycle_core import enumerate_automorphisms, parity_position
 from cyclealg.errors import (
     CapacityError,
-    HomologyRangeError,
     IncompatibleError,
     InvalidIndexError,
     K0NotRigidTypeError,
@@ -50,7 +49,9 @@ HEXAGON_MASK = np.array([
 
 def validate_star_extendible(emb, tol=1e-9) -> float:
     """Largest defect of the multiplicativity and adjoint relations on generators."""
-    dense = {key: emb.image_of_unit(*key) for key in emb.unit_images}
+    source = emb.source
+    dense = {(r, c): unit_image(emb, r, c) for (i, j) in source.supported_block_pairs()
+             for r in source.block_indices(i) for c in source.block_indices(j)}
     worst = 0.0
     keys = sorted(dense)
     for (i, j) in keys:
@@ -188,13 +189,12 @@ def test_realize_rigid_unital_and_rank_bookkeeping():
     emb = realize_rigid(sig, target)
     validate_star_extendible(emb)
     # unital: images of the six diagonal units sum to the identity
-    total = sum(emb.image_of_unit(v, v) for v in range(6))
+    total = sum(unit_image(emb, v, v) for v in range(6))
     assert np.allclose(total, np.eye(36))
     # ranks of diagonal-unit images reproduce the matrix entries
-    from cyclealg.cycle_core import parity_position
     mat = k0_matrix(sig)
     for j in range(1, 7):
-        image = emb.image_of_unit(j - 1, j - 1)
+        image = unit_image(emb, j - 1, j - 1)
         for i in range(1, 7):
             idx = list(target.block_indices(i))
             block = image[np.ix_(idx, idx)]
@@ -281,29 +281,29 @@ def test_composition_oracle_realizes_each_unit_embedding_once(monkeypatch, m):
     assert sorted(calls) == sorted(Signature.unit(theta).r for theta in enumerate_automorphisms(m))
 
 
-def test_decompose_rejects_non_standard_form():
+@pytest.mark.parametrize("slot_map,error", [
+    # vertices 2 and 4 swapped: e_12 goes from vertex 1 to vertex 4, which no automorphism does
+    ([0, 3, 2, 1, 4, 5], UnsupportedInputError),
+    # vertices 3 and 5 swapped: K0 is the permutation matrix of no automorphism
+    ([0, 1, 4, 3, 2, 5], K0NotRigidTypeError),
+], ids=["e12-to-vertex-4", "k0-not-rigid"])
+def test_decompose_refuses_what_k0_and_h1_do_not_resolve(slot_map, error):
     unit = basic_model(3)
-    emb = realize_rigid(Signature.unit(enumerate_automorphisms(3)[0]), unit)
-    bad = dict(emb.unit_images)
-    bad[(0, 0)] = ((0, 0, 0.5 + 0j),)
-    with pytest.raises(UnsupportedInputError):
-        decompose_signature(ConcreteEmbedding(unit, unit, bad))
-
-
-@pytest.mark.parametrize("key,pieces,error", [
-    # e_12 carried from vertex 1 to vertex 4: no automorphism moves 2 that far from 1
-    ((0, 1), ((0, 3, 1.0 + 0j),), UnsupportedInputError),
-    # e_11 on two target vertices: the K0 column sums differ, no sum of permutations
-    ((0, 0), ((0, 0, 1.0 + 0j), (2, 2, 1.0 + 0j)), K0NotRigidTypeError),
-    # e_12 read as a reflection while K0 is the identity's, whose fibre has h = 1 only
-    ((0, 1), ((0, 5, 1.0 + 0j),), HomologyRangeError),
-])
-def test_decompose_refuses_what_k0_and_h1_do_not_resolve(key, pieces, error):
-    unit = basic_model(3)
-    images = dict(realize_rigid(Signature.unit(enumerate_automorphisms(3)[0]), unit).unit_images)
-    images[key] = pieces
     with pytest.raises(error):
-        decompose_signature(ConcreteEmbedding(unit, unit, images))
+        decompose_signature(ConcreteEmbedding(unit, unit, [slot_map]))
+
+
+@pytest.mark.parametrize("slot_maps", [
+    [[0, 1, 2, 3, 4]],  # one source index has no target index
+    [[0, 1, 2, 3, 4, 4]],  # an index repeated inside one map
+    [[0, 1, 2, 3, 4, 5], [6, 7, 8, 9, 10, 5]],  # two maps sharing an index
+    [[0, 1, 2, 3, 4, 12]],  # past the last target index
+    [[1.0, 0, 2, 3, 4, 5]],
+    [[True, 0, 2, 3, 4, 5]],
+], ids=["short", "repeated", "shared", "out-of-range", "float", "bool"])
+def test_slot_maps_are_refused_unless_injective_int_and_in_range(slot_maps):
+    with pytest.raises(InvalidIndexError):
+        ConcreteEmbedding(basic_model(3), MatrixAlgebraModel(3, (2,) * 6), slot_maps)
 
 
 def _assert_rigid_roundtrip(max_entry, count):
@@ -326,23 +326,46 @@ def test_realize_roundtrip_report_exhaustive():
     _assert_rigid_roundtrip(1, 63)
 
 
-def test_decompose_from_larger_source():
-    # signature of an embedding whose source has multiplicities: recovered
-    # through the standard probe injection
-    mid = MatrixAlgebraModel(3, (2,) * 6)
-    target = MatrixAlgebraModel(3, (6,) * 6)
-    first = realize_rigid(Signature(3, (1, 1, 0, 0, 0, 0)), mid)
-    second = realize_rigid(Signature(3, (1, 0, 1, 0, 0, 0)), target, source=mid)
-    assert decompose_signature(second).r == summand_tally(second) == (1, 0, 1, 0, 0, 0)
-    comp = compose_embeddings(first, second)
-    expected = signature_compose(Signature(3, (1, 1, 0, 0, 0, 0)),
-                                 Signature(3, (1, 0, 1, 0, 0, 0)))
-    assert decompose_signature(comp).r == summand_tally(comp) == expected.r
+@st.composite
+def two_level_st(draw):
+    """Nonzero signatures a, b at one m with entries <= 2 (at most three nonzero,
+    so the target stays small) and the slack of the middle and target levels."""
+    m = draw(st.integers(3, 5))
+
+    def signature():
+        entries = draw(st.dictionaries(st.integers(0, 2 * m - 1), st.integers(1, 2),
+                                       min_size=1, max_size=3))
+        return Signature(m, tuple(entries.get(i, 0) for i in range(2 * m)))
+
+    return signature(), signature(), draw(st.integers(0, 2)), draw(st.integers(0, 2))
+
+
+def _capacity(sig, source_mults):
+    """Target vertex multiplicities that the placement of sig from the source fills:
+    the vertex-multiplicity matrix applied to the source's multiplicities."""
+    m = sig.m
+    mat = k0_matrix(sig)
+    return tuple(sum(mat[parity_position(m, i)][parity_position(m, j)] * source_mults[j - 1]
+                     for j in range(1, 2 * m + 1)) for i in range(1, 2 * m + 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(two_level_st())
+@example((Signature(3, (1, 1, 0, 0, 0, 0)), Signature(3, (1, 0, 1, 0, 0, 0)), 0, 2))
+def test_decompose_from_larger_source(levels):
+    # the second embedding's source has multiplicities: its signature is read
+    # at the source's first slot per vertex
+    a, b, mid_slack, target_slack = levels
+    mid = MatrixAlgebraModel(a.m, tuple(k + mid_slack for k in _capacity(a, (1,) * (2 * a.m))))
+    target = MatrixAlgebraModel(a.m, tuple(k + target_slack for k in _capacity(b, mid.vertex_mults)))
+    second = realize_rigid(b, target, source=mid)
+    assert decompose_signature(second).r == summand_tally(second) == b.r
+    comp = compose_embeddings(realize_rigid(a, mid), second)
+    assert decompose_signature(comp).r == summand_tally(comp) == signature_compose(a, b).r
 
 
 def test_unitary_conjugation_preserves_measured_ranks():
     # conjugating by block-diagonal unitaries cannot change the K0 data
-    from cyclealg.cycle_core import parity_position
     from cyclealg.matrix_model import _block_unitaries
 
     target = MatrixAlgebraModel(3, (4,) * 6)
@@ -352,7 +375,7 @@ def test_unitary_conjugation_preserves_measured_ranks():
     u = _block_unitaries(target, rng.standard_normal((1, 2 * 6 * 4 * 4)))[0]
     mat = k0_matrix(sig)
     for j in range(1, 7):
-        image = u @ emb.image_of_unit(j - 1, j - 1) @ u.conj().T
+        image = u @ unit_image(emb, j - 1, j - 1) @ u.conj().T
         for i in range(1, 7):
             idx = list(target.block_indices(i))
             rank = np.linalg.matrix_rank(image[np.ix_(idx, idx)], tol=1e-8)
