@@ -214,8 +214,9 @@ class ConcreteEmbedding:
 
     ``slot_maps`` holds one tuple per summand, whose entry i is the target
     flat index of source flat index i: the summand carries the source matrix
-    unit e_ij to the target matrix unit at (s[i], s[j]).  Every map has one
-    index per source index, and no target index is used twice.
+    unit e_ij to the target matrix unit at (s[i], s[j]).  There is at least
+    one map, every map has one index per source index, and no target index
+    is used twice.
     """
 
     source: MatrixAlgebraModel
@@ -225,9 +226,11 @@ class ConcreteEmbedding:
     def __post_init__(self):
         n, size = self.source.dimension, self.target.dimension
         maps = tuple(tuple(check_integer(t, "target index") for t in s) for s in self.slot_maps)
-        flat = [t for s in maps for t in s]
+        if not maps:
+            raise UnsupportedInputError("an embedding needs at least one summand")
         if any(len(s) != n for s in maps):
             raise InvalidIndexError(f"each slot map needs {n} target indices, one per source index")
+        flat = [t for s in maps for t in s]
         if not all(0 <= t < size for t in flat):
             raise InvalidIndexError(f"target indices must lie in 0..{size - 1}")
         if len(set(flat)) != len(flat):
@@ -259,8 +262,6 @@ def realize_rigid(sig: Signature, target: MatrixAlgebraModel,
     taking the next free slots: source slot (v, p) goes to target slot
     (theta(v), used + p).
     """
-    if sig.is_zero:
-        raise UnsupportedInputError("the zero signature does not define an embedding")
     source = basic_model(sig.m) if source is None else source
     if sig.m != source.m or sig.m != target.m:
         raise IncompatibleError("signature, source and target must share the cycle length")

@@ -225,6 +225,8 @@ def test_realize_capacity_errors():
         realize_rigid(Signature(3, (2, 0, 0, 0, 0, 0)), basic_model(3))
     with pytest.raises(UnsupportedInputError):
         realize_rigid(Signature.zero(3), MatrixAlgebraModel(3, (2,) * 6))
+    with pytest.raises(UnsupportedInputError):
+        ConcreteEmbedding(basic_model(3), basic_model(3), [])
     with pytest.raises(IncompatibleError):
         realize_rigid(Signature(3, (1, 0, 0, 0, 0, 0)), basic_model(4))
 
