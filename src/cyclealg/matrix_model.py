@@ -7,10 +7,8 @@ blocks, plus for each odd (range) vertex i the blocks (i, i+1) and
 
 This module realizes rigid embeddings as summand slot maps, injective maps
 of source flat indices to target flat indices in exact ints; composes them;
-and reads the multiplicity signature of such a realization back from its
-two invariants (K0, the target vertices of the summands' diagonal slots,
-and H1, one rotation or reflection count per summand from the image of
-e_12, resolved by :func:`cyclealg.signatures.signature_from_k0h1`).
+and reads the multiplicity signature of such a realization back by counting
+its summands by class, which the embedding identifies when it is built.
 Floats enter only through :meth:`ConcreteEmbedding.apply` and the numerical
 verification harnesses: entrywise partial-isometry checks, perturbation
 sweeps, and the concrete locally-regular-but-not-regular embedding of the
@@ -32,7 +30,6 @@ from .cycle_core import (
     check_half_length,
     check_integer,
     enumerate_automorphisms,
-    parity_position,
 )
 from .errors import (
     CapacityError,
@@ -45,7 +42,6 @@ from .signatures import (
     CycleAlgebraShape,
     Signature,
     signature_compose,
-    signature_from_k0h1,
     unit_signatures,
 )
 
@@ -53,12 +49,14 @@ from .signatures import (
 #: local-regularity check: the harness runs max(1, 2^14 // N^2) trials at a time.
 _STACK_ENTRIES = 1 << 14
 #: Largest half-length of the composition oracle, whose (2m)^2 compose and
-#: decompose pairs cost O(m^2) each: on a 2-vCPU x86-64 VM about 0.2 s at
-#: m = 16 and 3 s at m = 32, so about 45 s at m = 64.
+#: decompose pairs cost O(m log m) each: on a 2-vCPU x86-64 VM about 0.09 s at
+#: m = 16 and 0.45 s at m = 32, so about 4 s at m = 64.
 MAX_ORACLE_HALF_LENGTH = 16
 #: Most trials x N^2 entries of one harness run, whose time and ``lemma31``
 #: report grow linearly with trials: about 2 s and 1.8 MB at 20,000 trials, N = 12.
 MAX_HARNESS_ENTRIES = 1 << 22
+#: Largest entry magnitude that :meth:`ConcreteEmbedding.apply` accepts off the support.
+OFF_SUPPORT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -85,11 +83,6 @@ class MatrixAlgebraModel:
     def block(self, v) -> slice:
         """The flat indices of vertex v (1-based) as a slice."""
         return slice(self.starts[v - 1], self.starts[v])
-
-    def flat_index(self, v, p) -> int:
-        if not 0 <= p < self.vertex_mults[v - 1]:
-            raise InvalidIndexError(f"slot {p} out of range for vertex {v}")
-        return self.starts[v - 1] + p
 
     def block_indices(self, v):
         return range(self.starts[v - 1], self.starts[v])
@@ -208,6 +201,12 @@ def max_minimal_compression_distance(x, model: MatrixAlgebraModel) -> float:
 # Concrete embeddings
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
+def _class_labels(m):
+    """The label of each of the 2m classes, keyed by its vertex images."""
+    return {theta.images(): theta.index for theta in enumerate_automorphisms(m)}
+
+
 @dataclass(frozen=True)
 class ConcreteEmbedding:
     """A rigid embedding in standard form: a direct sum of multiplicity-one summands.
@@ -216,12 +215,15 @@ class ConcreteEmbedding:
     flat index of source flat index i: the summand carries the source matrix
     unit e_ij to the target matrix unit at (s[i], s[j]).  There is at least
     one map, every map has one index per source index, and no target index
-    is used twice.
+    is used twice.  Each summand is rigid: the first slots of the source
+    vertices land on the vertex images of an automorphism theta, whose label
+    ``classes`` records, and every slot of vertex v lands in theta(v)'s block.
     """
 
     source: MatrixAlgebraModel
     target: MatrixAlgebraModel
     slot_maps: tuple = field(repr=False)
+    classes: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n, size = self.source.dimension, self.target.dimension
@@ -235,17 +237,32 @@ class ConcreteEmbedding:
             raise InvalidIndexError(f"target indices must lie in 0..{size - 1}")
         if len(set(flat)) != len(flat):
             raise InvalidIndexError("a target index is used twice")
+        if self.source.m != self.target.m:
+            raise IncompatibleError("source and target must share the cycle length")
+        vertex, labels = self.target.vertex_of_index, _class_labels(self.source.m)
+        corners, mults = self.source.starts[:-1], self.source.vertex_mults
+        classes = []
+        for number, s in enumerate(maps, start=1):
+            hit = [vertex(t) for t in s]
+            images = tuple(hit[i] for i in corners)
+            label = labels.get(images)
+            if label is None or hit != [w for w, k in zip(images, mults) for _ in range(k)]:
+                raise UnsupportedInputError(
+                    f"summand {number} sends the source slots to target vertices {hit}, "
+                    "which no automorphism of the cycle does")
+            classes.append(label)
         object.__setattr__(self, "slot_maps", maps)
+        object.__setattr__(self, "classes", tuple(classes))
 
-    def apply(self, x, tol=1e-9) -> np.ndarray:
-        """Image of a source-algebra element (entries must respect the mask)."""
+    def apply(self, x) -> np.ndarray:
+        """Image of a source-algebra element (off-support entries at most ``OFF_SUPPORT_TOL``)."""
         x = np.asarray(x, dtype=complex)
         n = self.source.dimension
         if x.shape != (n, n):
             raise InvalidIndexError(f"expected a {n} x {n} matrix, got shape {x.shape}")
         mask = self.source.support_mask()
         off_mask = np.abs(x[~mask])
-        if off_mask.size and off_mask.max() > tol:
+        if off_mask.size and off_mask.max() > OFF_SUPPORT_TOL:
             raise UnsupportedInputError("element is not supported in the source algebra")
         x = np.where(mask, x, 0)
         out = np.zeros((self.target.dimension, self.target.dimension), dtype=complex)
@@ -296,38 +313,17 @@ def compose_embeddings(f: ConcreteEmbedding, g: ConcreteEmbedding) -> ConcreteEm
 
 
 # ---------------------------------------------------------------------------
-# Signature recovery from K0 and H1
+# Signature recovery
 # ---------------------------------------------------------------------------
 
 def decompose_signature(emb: ConcreteEmbedding) -> Signature:
-    """Recover the multiplicity signature of a rigid embedding from its two
-    invariants, K0 and H1.
-
-    The source's first slot at every vertex spans a copy of the basic
-    algebra, whose vertex j sits at flat index ``starts[j - 1]``.  K0, the
-    vertex-multiplicity matrix, counts the summands carrying vertex j to
-    each target vertex.  H1 is read from the image of e_12: a summand
-    carries vertex 1 to a and vertex 2 to b, the target vertices of its
-    images of those two indices.  It counts +1 when b = a + 1 (a rotation)
-    and -1 when b = a - 1 (a reflection), cyclically; no automorphism gives
-    any other b.  The pair is resolved through :func:`signature_from_k0h1`.
-    """
-    m, corner, vertex = emb.source.m, emb.source.starts, emb.target.vertex_of_index
-    two_m = 2 * check_half_length(m, minimum=3)
-    mat = [[0] * two_m for _ in range(two_m)]
-    h = 0
-    for s in emb.slot_maps:
-        for j in range(1, two_m + 1):
-            mat[parity_position(m, vertex(s[corner[j - 1]]))][parity_position(m, j)] += 1
-        a, b = vertex(s[corner[0]]), vertex(s[corner[1]])
-        if b == a % two_m + 1:
-            h += 1
-        elif b == (a - 2) % two_m + 1:
-            h -= 1
-        else:
-            raise UnsupportedInputError(
-                f"a summand carries e_12 to vertices {a} and {b}, which no automorphism does")
-    return signature_from_k0h1(mat, h)
+    """The multiplicity signature of a rigid embedding: its summands counted by
+    class.  Recovery from the two invariants, K0 and H1, is
+    :func:`cyclealg.signatures.signature_from_k0h1`."""
+    r = [0] * (2 * emb.source.m)
+    for label in emb.classes:
+        r[label - 1] += 1
+    return Signature(emb.source.m, tuple(r))
 
 
 # ---------------------------------------------------------------------------

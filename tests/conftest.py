@@ -2,9 +2,10 @@
 
 These deliberately avoid the code paths they are used to check: permutation
 composition works on raw image tuples, a concrete embedding's signature is
-tallied by chaining the nonzero entries of its unit images into summands, and joint-scale membership is
-decided by enumerating unital signatures level by level, or by searching
-levels for a certified congruence state period.
+tallied by chaining the nonzero entries of its unit images into summands,
+raw slot maps are read for their two invariants K0 and H1, and joint-scale
+membership is decided by enumerating unital signatures level by level, or by
+searching levels for a certified congruence state period.
 """
 
 import itertools
@@ -15,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from cyclealg.cycle_core import enumerate_automorphisms
+from cyclealg.cycle_core import enumerate_automorphisms, parity_position
 from cyclealg.limits import ScaleMembership, is_extreme
 from cyclealg.signatures import (
     CycleAlgebraShape,
@@ -117,6 +118,31 @@ def summand_tally(emb):
         assert images in by_images, f"summand vertex map {images} is not an automorphism"
         tally[by_images[images].index - 1] += 1
     return tuple(tally)
+
+
+def k0h1_reading(source_mults, target_mults, slot_maps):
+    """The two invariants (K0 matrix, H1 value) of raw summand slot maps.
+
+    K0 is the vertex-multiplicity matrix in parity order: entry (i, j) counts
+    the summands that carry the first slot of source vertex j into target
+    vertex i.  H1 adds up the summands' winding numbers.  A summand's vertex
+    images w_1, .., w_2m trace the image of the vertex cycle; its signed
+    steps w_{v+1} - w_v, taken mod 2m in -m+1..m, sum to 2m times its
+    winding number.  Nothing here asks whether the maps are rigid.
+    """
+    two_m = len(source_mults)
+    m = two_m // 2
+    corners = list(itertools.accumulate(source_mults, initial=0))[:-1]
+    owner = [v for v, k in enumerate(target_mults, start=1) for _ in range(k)]
+    mat = [[0] * two_m for _ in range(two_m)]
+    steps = 0
+    for s in slot_maps:
+        w = [owner[s[c]] for c in corners]
+        for j, i in enumerate(w, start=1):
+            mat[parity_position(m, i)][parity_position(m, j)] += 1
+        steps += sum((b - a + m - 1) % two_m - m + 1 for a, b in zip(w, w[1:] + w[:1]))
+    assert steps % two_m == 0, "the image of a closed cycle winds a whole number of times"
+    return mat, steps // two_m
 
 
 def signatures_with_entries_at_most(m, bound):

@@ -459,6 +459,16 @@ def test_verdict_is_equivalence_on_family():
             assert verdicts[(a, c)]
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(3, 7), st.integers(1, 30), st.sampled_from((2, 3)), st.data())
+def test_tower_is_isomorphic_to_its_telescopes(m, d, k, data):
+    # k levels at a time: the level multiplier becomes (md)^k and the linking
+    # signature's homology multiplier s^k
+    s = -m * d + 2 * m * data.draw(st.integers(0, d))
+    verdict = decide_isomorphism(tower(m, d, s), tower(m, m ** (k - 1) * d ** k, s ** k))
+    assert verdict.isomorphic, verdict
+
+
 # -- finite-level invariants -----------------------------------------------------
 
 def test_single_level_echo():

@@ -1,6 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
-from conftest import signatures_with_entries_at_most, summand_tally, unit_image
+from conftest import k0h1_reading, signatures_with_entries_at_most, summand_tally, unit_image
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -9,7 +11,6 @@ from cyclealg.errors import (
     CapacityError,
     IncompatibleError,
     InvalidIndexError,
-    K0NotRigidTypeError,
     UnsupportedInputError,
 )
 from cyclealg.matrix_model import (
@@ -35,6 +36,7 @@ from cyclealg.signatures import (
     k0_matrix,
     permutation_matrix,
     signature_compose,
+    signature_from_k0h1,
 )
 
 HEXAGON_MASK = np.array([
@@ -126,10 +128,7 @@ def test_block_layout_matches_cumulative_sum_reference(shape):
     for v in range(1, 2 * m + 1):
         idx = list(range(starts[v - 1], starts[v]))
         assert list(model.block_indices(v)) == idx
-        assert [model.flat_index(v, p) for p in range(mults[v - 1])] == idx
         owner.extend([v] * mults[v - 1])
-        with pytest.raises(InvalidIndexError):
-            model.flat_index(v, mults[v - 1])
     assert [model.vertex_of_index(i) for i in range(n)] == owner
     for i in (-1, n):
         with pytest.raises(InvalidIndexError):
@@ -228,6 +227,8 @@ def test_realize_capacity_errors():
     with pytest.raises(UnsupportedInputError):
         ConcreteEmbedding(basic_model(3), basic_model(3), [])
     with pytest.raises(IncompatibleError):
+        ConcreteEmbedding(basic_model(3), basic_model(4), [[0, 1, 2, 3, 4, 5]])
+    with pytest.raises(IncompatibleError):
         realize_rigid(Signature(3, (1, 0, 0, 0, 0, 0)), basic_model(4))
 
 
@@ -283,16 +284,54 @@ def test_composition_oracle_realizes_each_unit_embedding_once(monkeypatch, m):
     assert sorted(calls) == sorted(Signature.unit(theta).r for theta in enumerate_automorphisms(m))
 
 
-@pytest.mark.parametrize("slot_map,error", [
-    # vertices 2 and 4 swapped: e_12 goes from vertex 1 to vertex 4, which no automorphism does
-    ([0, 3, 2, 1, 4, 5], UnsupportedInputError),
-    # vertices 3 and 5 swapped: K0 is the permutation matrix of no automorphism
-    ([0, 1, 4, 3, 2, 5], K0NotRigidTypeError),
-], ids=["e12-to-vertex-4", "k0-not-rigid"])
-def test_decompose_refuses_what_k0_and_h1_do_not_resolve(slot_map, error):
-    unit = basic_model(3)
-    with pytest.raises(error):
-        decompose_signature(ConcreteEmbedding(unit, unit, [slot_map]))
+def _foldings(target_mults, pairs):
+    """Summand slot maps from the basic algebra, one per (a, b), that send every
+    odd vertex to a and every even one to b, each taking the next free slots."""
+    starts = list(itertools.accumulate(target_mults, initial=0))
+    used = [0] * len(target_mults)
+    slot_maps = []
+    for a, b in pairs:
+        slot_map = []
+        for v in range(1, len(target_mults) + 1):
+            w = a if v % 2 else b
+            slot_map.append(starts[w - 1] + used[w - 1])
+            used[w - 1] += 1
+        slot_maps.append(slot_map)
+    return slot_maps
+
+
+# two foldings per odd vertex a, onto each of its neighbours: they fill (6,)*6
+SIX_FOLDINGS = _foldings((6,) * 6, [(1, 2), (1, 6), (3, 2), (3, 4), (5, 4), (5, 6)])
+
+
+@pytest.mark.parametrize("source,target,slot_maps,number", [
+    # vertices 2 and 4 swapped: e_12 goes from vertex 1 to vertex 4
+    ((1,) * 6, (1,) * 6, [[0, 3, 2, 1, 4, 5]], 1),
+    # vertices 3 and 5 swapped: a vertex map that is no automorphism
+    ((1,) * 6, (1,) * 6, [[0, 1, 4, 3, 2, 5]], 1),
+    ((1,) * 6, (6,) * 6, SIX_FOLDINGS, 1),
+    ((1,) * 6, (3,) * 6, _foldings((3,) * 6, [(1, 2), (3, 4), (5, 6)]), 1),
+    # the first slots map by the identity, but vertex 1's second slot lands at vertex 3
+    ((2, 1, 1, 1, 1, 1), (2, 1, 2, 1, 1, 1), [[0, 4, 2, 3, 5, 6, 7]], 1),
+    # a rigid identity summand, then a folding onto (1, 2)
+    ((1,) * 6, (4,) * 6, [[0, 4, 8, 12, 16, 20], [1, 5, 2, 6, 3, 7]], 2),
+], ids=["e12-to-vertex-4", "k0-not-rigid", "six-foldings", "three-foldings", "split-block",
+        "second-summand"])
+def test_construction_refuses_summands_that_are_not_rigid(source, target, slot_maps, number):
+    with pytest.raises(UnsupportedInputError, match=f"summand {number} "):
+        ConcreteEmbedding(MatrixAlgebraModel(3, source), MatrixAlgebraModel(3, target), slot_maps)
+
+
+def test_foldings_read_the_k0_and_h1_of_a_rigid_embedding():
+    # each folding winds zero times, and so do the three rotation and three
+    # reflection summands of the all-ones signature together: K0 and H1 cannot
+    # tell the two apart, which is why only rigid embeddings are determined by them
+    rigid = realize_rigid(Signature(3, (1,) * 6), MatrixAlgebraModel(3, (6,) * 6))
+    reading = k0h1_reading((1,) * 6, (6,) * 6, SIX_FOLDINGS)
+    assert reading == k0h1_reading((1,) * 6, (6,) * 6, rigid.slot_maps)
+    assert reading[1] == 0
+    with pytest.raises(UnsupportedInputError):
+        ConcreteEmbedding(basic_model(3), rigid.target, SIX_FOLDINGS)
 
 
 @pytest.mark.parametrize("slot_maps", [
@@ -317,6 +356,8 @@ def _assert_rigid_roundtrip(max_entry, count):
     for sig in sigs:
         emb = realize_rigid(sig, target)
         assert decompose_signature(emb).r == summand_tally(emb) == sig.r
+        reading = k0h1_reading(emb.source.vertex_mults, target.vertex_mults, emb.slot_maps)
+        assert signature_from_k0h1(*reading).r == sig.r
 
 
 def test_realize_decompose_roundtrip_sample():
@@ -361,9 +402,11 @@ def test_decompose_from_larger_source(levels):
     mid = MatrixAlgebraModel(a.m, tuple(k + mid_slack for k in _capacity(a, (1,) * (2 * a.m))))
     target = MatrixAlgebraModel(a.m, tuple(k + target_slack for k in _capacity(b, mid.vertex_mults)))
     second = realize_rigid(b, target, source=mid)
-    assert decompose_signature(second).r == summand_tally(second) == b.r
     comp = compose_embeddings(realize_rigid(a, mid), second)
-    assert decompose_signature(comp).r == summand_tally(comp) == signature_compose(a, b).r
+    for emb, sig in ((second, b), (comp, signature_compose(a, b))):
+        assert decompose_signature(emb).r == summand_tally(emb) == sig.r
+        reading = k0h1_reading(emb.source.vertex_mults, target.vertex_mults, emb.slot_maps)
+        assert signature_from_k0h1(*reading).r == sig.r
 
 
 def test_unitary_conjugation_preserves_measured_ranks():
