@@ -49,9 +49,9 @@ from .signatures import (
 #: local-regularity check: the harness runs max(1, 2^14 // N^2) trials at a time.
 _STACK_ENTRIES = 1 << 14
 #: Largest half-length of the composition oracle, whose (2m)^2 compose and
-#: decompose pairs cost O(m log m) each: on a 2-vCPU x86-64 VM about 0.09 s at
-#: m = 16 and 0.45 s at m = 32, so about 4 s at m = 64.
-MAX_ORACLE_HALF_LENGTH = 16
+#: decompose pairs cost O(m log m) each: on a 2-vCPU x86-64 VM about 0.04-0.09 s
+#: at m = 16 and 0.24-0.45 s at m = 32, the bound, so about 4 s at m = 64.
+MAX_ORACLE_HALF_LENGTH = 32
 #: Most trials x N^2 entries of one harness run, whose time and ``lemma31``
 #: report grow linearly with trials: about 2 s and 1.8 MB at 20,000 trials, N = 12.
 MAX_HARNESS_ENTRIES = 1 << 22
@@ -171,6 +171,13 @@ def locally_regular_check(x, model: MatrixAlgebraModel, tol=1e-6) -> bool:
     n = model.dimension
     if x.shape != (n, n):
         raise InvalidIndexError(f"expected a {n} x {n} matrix, got shape {x.shape}")
+    return bool(_locally_regular(x[None], model, tol)[0])
+
+
+def _locally_regular(xs, model: MatrixAlgebraModel, tol) -> np.ndarray:
+    """``locally_regular_check`` of every matrix of the stack xs (c, N, N) at once:
+    each SVD call takes one chunk of compressions of every matrix still regular."""
+    two_m = 2 * model.m
     # flat indices of every nonempty sum of vertex blocks, grouped by size
     by_size = {}
     for mask in range(1, 1 << two_m):
@@ -178,16 +185,21 @@ def locally_regular_check(x, model: MatrixAlgebraModel, tol=1e-6) -> bool:
                for i in model.block_indices(v)]
         by_size.setdefault(len(idx), []).append(idx)
     groups = [np.array(g) for g in by_size.values()]
+    regular = np.ones(len(xs), dtype=bool)
     for rows in groups:
         for cols in groups:
             count = len(rows) * len(cols)
-            step = max(1, _STACK_ENTRIES // (rows.shape[1] * cols.shape[1]))
+            live = np.flatnonzero(regular)
+            step = max(1, _STACK_ENTRIES // (len(live) * rows.shape[1] * cols.shape[1]))
             for start in range(0, count, step):
                 k = np.arange(start, min(count, start + step))
-                blocks = x[rows[k // len(cols)][:, :, None], cols[k % len(cols)][:, None, :]]
-                if (_defects(blocks) > tol).any():
-                    return False
-    return True
+                blocks = xs[live][:, rows[k // len(cols)][:, :, None],
+                                  cols[k % len(cols)][:, None, :]]
+                regular[live] = ~(_defects(blocks) > tol).any(axis=1)
+                live = np.flatnonzero(regular)
+                if not len(live):
+                    return regular
+    return regular
 
 
 def max_minimal_compression_distance(x, model: MatrixAlgebraModel) -> float:
@@ -649,7 +661,8 @@ def nonregular_embedding_example():
     vs = (v1, v2, v3, v4)
 
     distances = [distance_to_partial_isometry(v) for v in vs]
-    regular = [locally_regular_check(v, model, tol=1e-6) for v in vs]
+    product = v3 @ v2.conj().T
+    *regular, product_regular = _locally_regular(np.stack(vs + (product,)), model, 1e-6).tolist()
 
     # The images form a 4-cycle: consecutive pairs alternately share final
     # and initial projections.
@@ -660,9 +673,7 @@ def nonregular_embedding_example():
         float(np.max(np.abs(v4.conj().T @ v4 - v1.conj().T @ v1))),
     )
 
-    product = v3 @ v2.conj().T
     product_distance = distance_to_partial_isometry(product)
-    product_regular = locally_regular_check(product, model, tol=1e-6)
     witness = max_minimal_compression_distance(product, model)
 
     report = {

@@ -49,6 +49,8 @@ DEFAULT_ENUMERATION_BOUND = 64
 MAX_ROUNDTRIP_LOG2 = 16
 #: ``k0_is_rigid_type`` lists fibres of at most 2^16 members.
 MAX_FIBRE_MEMBERS = 1 << 16
+#: ``k0h1_roundtrip_report`` recovers at most this many signatures per ``_recover`` call.
+_RECOVERY_CHUNK = 1 << 8
 
 
 @dataclass(frozen=True)
@@ -118,32 +120,44 @@ def _composition_index_table(m):
 
 @functools.lru_cache(maxsize=None)
 def _k0_layout(m):
-    """Reads the row-major k0 matrix out of the sums rot_a + refl_b (at a*m + b) and a 0.
+    """(layout, reader): layout reads the row-major k0 matrix out of the cell sums
+    rot_a + refl_b (at a*m + b) and a 0, and reader reads the cell sums back out of it.
 
     With rot_k, refl_k the classes theta_{2k+1}, theta_{2k+2}, cell (i, j) of the
-    odd block is rot_{j-i} + refl_{i+j} and of the even block rot_{j-i} + refl_{i+j+1}.
+    odd block is rot_{j-i} + refl_{i+j} and of the even block rot_{j-i} + refl_{i+j+1};
+    each cell sum sits at two places of the two blocks, the other blocks are 0.
     """
     zero = [m * m] * m
     odd = [[(j - i) % m * m + (i + j) % m for j in range(m)] + zero for i in range(m)]
     even = [zero + [(j - i) % m * m + (i + j + 1) % m for j in range(m)] for i in range(m)]
-    return operator.itemgetter(*itertools.chain.from_iterable(odd + even))
+    cells = list(itertools.chain.from_iterable(odd + even))
+    return operator.itemgetter(*cells), operator.itemgetter(*map(cells.index, range(m * m)))
 
 
-def _k0_flat(m, r) -> tuple:
-    """The matrix sum_j r_j P(theta_j) as one row-major tuple."""
-    sums = list(itertools.starmap(operator.add, itertools.product(r[0::2], r[1::2])))
-    sums.append(0)
-    return _k0_layout(m)(sums)
+def _cell_sums(rots, refls, add=operator.add) -> list:
+    """The cell sums rot_a + refl_b at a*m + b: of one signature's entries, or with
+    ``_add_columns`` of entry columns, one column per class over a batch."""
+    return list(itertools.starmap(add, itertools.product(rots, refls)))
+
+
+def _add_columns(x, y) -> list:
+    return list(map(operator.add, x, y))
 
 
 def k0_matrix(sig: Signature) -> list:
     """The matrix sum_j r_j P(theta_j) as 2m rows of Python ints, block diagonal by parity."""
-    return list(map(list, zip(*[iter(_k0_flat(sig.m, sig.r))] * (2 * sig.m))))
+    sums = _cell_sums(sig.r[0::2], sig.r[1::2])
+    sums.append(0)
+    return list(map(list, zip(*[iter(_k0_layout(sig.m)[0](sums))] * (2 * sig.m))))
+
+
+def _h1(r) -> int:
+    return sum(r[0::2]) - sum(r[1::2])
 
 
 def h1(sig: Signature) -> int:
     """Rotations minus reflections: r_1 - r_2 + r_3 - .. - r_{2m}."""
-    return sum(sig.r[0::2]) - sum(sig.r[1::2])
+    return _h1(sig.r)
 
 
 def signature_compose(inner: Signature, outer: Signature) -> Signature:
@@ -162,8 +176,9 @@ def signature_compose(inner: Signature, outer: Signature) -> Signature:
     return Signature._of(inner.m, tuple(out))
 
 
-def _checked_flat(mat) -> tuple:
-    """(m, row-major tuple of Python ints) of a caller's 2m x 2m nonnegative integer matrix."""
+def _checked_sums(mat) -> tuple:
+    """(m, cell sums) of a caller's 2m x 2m nonnegative integer matrix that is the
+    layout of its own cell sums."""
     rows = [list(row) for row in mat]
     n = len(rows)
     shape = (n,) + tuple(sorted({len(row) for row in rows}))
@@ -175,70 +190,76 @@ def _checked_flat(mat) -> tuple:
         raise InvalidIndexError("vertex-multiplicity matrix must be integer") from None
     if min(flat) < 0:
         raise InvalidIndexError("vertex-multiplicity matrix must be nonnegative")
-    return n // 2, flat
+    layout, reader = _k0_layout(n // 2)
+    sums = list(reader(flat))
+    if layout(sums + [0]) != flat:
+        raise K0NotRigidTypeError("matrix is not a sum of automorphism permutation matrices")
+    return n // 2, sums
 
 
 @functools.lru_cache(maxsize=None)
-def _walk(m):
-    """Steps (entry, cell, entry subtracted) from rot_0 = 0 around the cycle: column 0
-    holds rot_k + refl_{-k} in odd row -k and rot_k + refl_{1-k} in even row -k."""
-    steps = []
-    for k in range(m):
-        i = -k % m
-        if k:
-            steps.append((2 * k, (m + i) * 2 * m + m, 2 * ((i + 1) % m) + 1))
-        steps.append((2 * i + 1, i * 2 * m, 2 * k))
-    return tuple(steps)
+def _off_chain(m):
+    """(a, b, a*m + b) of the (m - 1)^2 cells that the chain (a, a), (a + 1, a) skips."""
+    return tuple((a, b, a * m + b) for a in range(m) for b in range(m) if a - b not in (0, 1))
 
 
-def _fibre(m, flat) -> tuple:
-    """(lowest member, size) of the fibre of a flat matrix, or (None, 0).
+def _recover(m, sums, hs=None) -> list:
+    """Entry columns r_1, .., r_2m of a batch: sums[a*m + b] lists the items' nonnegative
+    cell sums rot_a + refl_b and hs their homology values (None: each fibre's lowest member).
 
-    The fibre is the shift family (r_1 + k, r_2 - k, r_3 + k, ..), whose shift
-    has the zero matrix: one check of the lowest member decides the family.
+    The chain from rot_0 = 0 (refl_a = S[a, a] - rot_a, rot_{a+1} = S[a+1, a] - refl_a)
+    gives one solution, which the other cells must agree with.  The fibre is its shift
+    family (r_1 + k, r_2 - k, r_3 + k, ..), nonnegative for -min(rot) <= k <= min(refl),
+    which holds at some k since min(rot) + min(refl) = min(S) >= 0; the shift by k
+    moves h1 by 2m * k.  The first item that fails raises.
     """
-    r = [0] * (2 * m)
-    for dst, cell, src in _walk(m):
-        r[dst] = flat[cell] - r[src]
-    lo, hi = -min(r[0::2]), min(r[1::2])
-    base = _shift(r, lo)
-    if lo > hi or _k0_flat(m, base) != flat:
-        return None, 0
-    return base, hi - lo + 1
-
-
-def _shift(r, k) -> tuple:
-    """Entries of r moved k steps along the shift family (+k rotations, -k reflections)."""
-    return tuple(itertools.chain.from_iterable(zip([x + k for x in r[0::2]],
-                                                   [x - k for x in r[1::2]])))
-
-
-def _recover(m, flat, h) -> tuple:
-    """Entries of the fibre member with homology h; the shift by k moves h1 by 2m * k."""
-    base, size = _fibre(m, flat)
-    if base is None:
-        raise K0NotRigidTypeError("matrix is not a sum of automorphism permutation matrices")
-    lo, step = sum(base[0::2]) - sum(base[1::2]), 2 * m
-    k, rem = divmod(h - lo, step)
-    if rem == 0 and 0 <= k < size:
-        return _shift(base, k)
-    raise HomologyRangeError(
-        f"homology value {h} is outside the homology range "
-        f"{{{lo} + {step}k : k = 0, .., {size - 1}}} of this matrix")
+    rot, refl = [[0] * len(sums[0])], []
+    for a in range(m):
+        refl.append(list(map(operator.sub, sums[a * m + a], rot[a])))
+        if a + 1 < m:
+            rot.append(list(map(operator.sub, sums[(a + 1) * m + a], refl[a])))
+    rigid = all(list(map(operator.add, rot[a], refl[b])) == sums[c] for a, b, c in _off_chain(m))
+    lo, hi = [-x for x in map(min, *rot)], list(map(min, *refl))
+    h0 = list(map(operator.sub, map(sum, zip(*rot)), map(sum, zip(*refl))))
+    step = 2 * m
+    if hs is None:
+        ks, rems = lo, [0] * len(lo)
+    else:
+        ks, rems = zip(*map(divmod, map(operator.sub, hs, h0), itertools.repeat(step)))
+    if not (rigid and not any(rems) and all(map(operator.le, lo, ks))
+            and all(map(operator.le, ks, hi))):
+        for i, (k, rem, low, high) in enumerate(zip(ks, rems, lo, hi)):
+            if any(rot[a][i] + refl[b][i] != sums[c][i] for a, b, c in _off_chain(m)):
+                raise K0NotRigidTypeError(
+                    "matrix is not a sum of automorphism permutation matrices")
+            if rem or not low <= k <= high:
+                raise HomologyRangeError(
+                    f"homology value {hs[i]} is outside the homology range "
+                    f"{{{h0[i] + step * low} + {step}k : k = 0, .., {high - low}}} "
+                    "of this matrix")
+    cols = []
+    for x, y in zip(rot, refl):
+        cols += [list(map(operator.add, x, ks)), list(map(operator.sub, y, ks))]
+    return cols
 
 
 def k0_is_rigid_type(mat) -> list:
     """All signatures with the given vertex-multiplicity matrix, in increasing r_1.
 
-    A matrix is of rigid type exactly when this fibre (``_fibre``) is nonempty.
+    A matrix is of rigid type exactly when this fibre (``_recover``) is nonempty.
     A fibre of more than ``MAX_FIBRE_MEMBERS`` members is refused, not listed.
     """
-    m, flat = _checked_flat(mat)
-    base, size = _fibre(m, flat)
+    try:
+        m, sums = _checked_sums(mat)
+        base = [col[0] for col in _recover(m, [[s] for s in sums])]
+    except K0NotRigidTypeError:
+        return []
+    size = min(base[1::2]) + 1
     if size > MAX_FIBRE_MEMBERS:
         raise EnumerationBoundError(
             f"the fibre has {size} members, more than the bound {MAX_FIBRE_MEMBERS}")
-    return [Signature._of(m, _shift(base, k)) for k in range(size)]
+    return [Signature._of(m, tuple(x - k if j % 2 else x + k for j, x in enumerate(base)))
+            for k in range(size)]
 
 
 def signature_from_k0h1(mat, h: int) -> Signature:
@@ -248,8 +269,8 @@ def signature_from_k0h1(mat, h: int) -> Signature:
     ``HomologyRangeError`` when the matrix is realizable but h is not.
     """
     h = check_integer(h, "homology value", name="h")
-    m, flat = _checked_flat(mat)
-    return Signature._of(m, _recover(m, flat, h))
+    m, sums = _checked_sums(mat)
+    return Signature._of(m, tuple(col[0] for col in _recover(m, [[s] for s in sums], [h])))
 
 
 def homology_range(sig: Signature) -> range:
@@ -371,6 +392,9 @@ def k0h1_roundtrip_report(m, max_entry=2) -> dict:
 
     The pair (matrix, homology multiplier) determines the signature uniquely:
     the matrix pins the shift family and the homology value pins the shift.
+    The signatures go through ``signature_from_k0h1``'s kernel ``_recover``
+    ``_RECOVERY_CHUNK`` at a time, as the cell sums and h1 that ``k0_matrix``
+    and ``h1`` compute.
     """
     m = check_half_length(m, minimum=3, name="m")
     max_entry = check_integer(max_entry, "max_entry", name="max_entry")
@@ -384,11 +408,14 @@ def k0h1_roundtrip_report(m, max_entry=2) -> dict:
             f"more than the bound 2^{MAX_ROUNDTRIP_LOG2}",
             "m" if 2 * m > MAX_ROUNDTRIP_LOG2 else "max_entry")
     count, failures = 0, []
-    for r in itertools.product(range(max_entry + 1), repeat=2 * m):
-        count += 1
-        got = _recover(m, _k0_flat(m, r), sum(r[0::2]) - sum(r[1::2]))
-        if got != r:
-            failures.append({"signature": list(r), "got": list(got)})
+    rows = itertools.product(range(max_entry + 1), repeat=2 * m)
+    for chunk in iter(lambda: list(itertools.islice(rows, _RECOVERY_CHUNK)), []):
+        count += len(chunk)
+        cols = list(map(list, zip(*chunk)))
+        got = _recover(m, _cell_sums(cols[0::2], cols[1::2], _add_columns), list(map(_h1, chunk)))
+        if got != cols:
+            failures += [{"signature": list(r), "got": list(g)}
+                         for r, g in zip(chunk, zip(*got)) if r != g]
     return {
         "check": "k0h1-roundtrip",
         "m": m,

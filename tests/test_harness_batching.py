@@ -24,6 +24,7 @@ from cyclealg.matrix_model import (
     _draw_sources,
     _harness_streams,
     _harness_trials,
+    _locally_regular,
     basic_model,
     distance_to_partial_isometry,
     entrywise_partial_isometry_report,
@@ -278,3 +279,18 @@ def test_locally_regular_check_on_the_nonregular_example_matches_reference():
     model = MatrixAlgebraModel(2, (4, 4, 4, 4))
     for x in (*vs, vs[2] @ vs[1].conj().T):
         assert locally_regular_check(x, model) == _reference_locally_regular(x, model, 1e-6)
+
+
+def test_stacked_local_regularity_matches_one_check_per_matrix():
+    # irregular matrices drop out of the stack at different chunks, the regular ones stay
+    model = MatrixAlgebraModel(3, (3,) * 6)
+    rng = np.random.default_rng(43)
+    u = _block_unitary(model, rng)
+    late = u.copy()
+    late[model.block(5), model.block(6)] = 0.5
+    xs = np.stack([rng.standard_normal(u.shape) + 0j, u, late, _block_unitary(model, rng),
+                   u + rng.standard_normal(u.shape) * 1e-9])
+    expected = [locally_regular_check(x, model) for x in xs]
+    assert expected == [False, True, False, True, True]
+    assert _locally_regular(xs, model, 1e-6).tolist() == expected
+    assert _locally_regular(xs[[0, 2]], model, 1e-6).tolist() == [False, False]

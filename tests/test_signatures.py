@@ -358,6 +358,90 @@ def test_fibre_bound():
     assert peak < 2 ** 20
 
 
+def distinct_entries(m):
+    """A signature whose cell sums rot_a + refl_b are pairwise distinct."""
+    return Signature(m, tuple(1 << (20 * j) for j in range(2 * m)))
+
+
+def cell_sum_matrix(m, sums):
+    """The 2m x 2m matrix laying out cell sums S[a][b] (rot_a + refl_b when rigid):
+    odd cell (i, j) holds S[j-i][i+j] and even cell (i, j) holds S[j-i][i+j+1]."""
+    odd = [[sums[(j - i) % m][(i + j) % m] for j in range(m)] + [0] * m for i in range(m)]
+    even = [[0] * m + [sums[(j - i) % m][(i + j + 1) % m] for j in range(m)] for i in range(m)]
+    return odd + even
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 8).flatmap(lambda m: st.lists(
+    st.lists(st.one_of(st.integers(0, 3), st.integers(0, 2 ** 200)),
+             min_size=2 * m, max_size=2 * m).map(lambda r: Signature(m, tuple(r))),
+    min_size=1, max_size=5)))
+def test_recovery_kernel_batch_matches_single_calls(sigs):
+    import cyclealg.signatures as signatures
+    m = sigs[0].m
+    singles = [signature_from_k0h1(k0_matrix(sig), h1(sig)) for sig in sigs]
+    assert singles == sigs
+    cols = [list(col) for col in zip(*(sig.r for sig in sigs))]
+    sums = signatures._cell_sums(cols[0::2], cols[1::2], signatures._add_columns)
+    got = signatures._recover(m, sums, [h1(sig) for sig in sigs])
+    assert [Signature(m, r) for r in zip(*got)] == singles
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 8])
+def test_recovery_refuses_matrices_that_are_not_rigid(m):
+    mat = k0_matrix(distinct_entries(m))
+    off_parity = [row[:] for row in mat]
+    off_parity[1][m + 2] = 1
+    # the two cells that hold one cell sum, found by value, made to differ
+    cells = [(i, j) for i in range(2 * m) for j in range(2 * m) if mat[i][j] == mat[0][1]]
+    assert len(cells) == 2
+    split = [row[:] for row in mat]
+    split[cells[1][0]][cells[1][1]] += 1
+    # every cell sum at both of its places, but not of the form rot_a + refl_b
+    not_additive = cell_sum_matrix(m, [[int((a, b) == (0, 1)) for b in range(m)]
+                                       for a in range(m)])
+    for bad in (off_parity, split, not_additive):
+        with pytest.raises(K0NotRigidTypeError) as caught:
+            signature_from_k0h1(bad, 0)
+        assert str(caught.value) == "matrix is not a sum of automorphism permutation matrices"
+        assert k0_is_rigid_type(bad) == []
+    sig = distinct_entries(m)
+    assert cell_sum_matrix(m, [[sig.r[2 * a] + sig.r[2 * b + 1] for b in range(m)]
+                               for a in range(m)]) == mat
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 8).flatmap(lambda m: st.tuples(
+    st.lists(st.integers(0, 2 ** 200), min_size=2 * m, max_size=2 * m).map(
+        lambda r: Signature(m, tuple(r))),
+    st.integers(1, 2 * m - 1), st.integers(1, 3))))
+def test_recovery_off_the_progression_keeps_its_message(case):
+    sig, offset, beyond = case
+    m, mat = sig.m, k0_matrix(sig)
+    rot, refl = min(sig.r[0::2]), min(sig.r[1::2])
+    lo = h1(sig) - 2 * m * rot
+    hi = h1(sig) + 2 * m * refl
+    for h in (h1(sig) + offset, lo - 2 * m * beyond, hi + 2 * m * beyond):
+        with pytest.raises(HomologyRangeError) as caught:
+            signature_from_k0h1(mat, h)
+        assert str(caught.value) == (
+            f"homology value {h} is outside the homology range "
+            f"{{{lo} + {2 * m}k : k = 0, .., {rot + refl}}} of this matrix")
+
+
+def test_roundtrip_at_its_bound_runs_in_bounded_memory():
+    # 2^16 signatures at m = 8; holding all their 64 cell-sum columns at once would
+    # take 64 * 2^16 pointers, 32 MiB, so the bound below allows only a few chunks
+    tracemalloc.start()
+    try:
+        report = k0h1_roundtrip_report(8, max_entry=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["count"] == 65536 and report["ok"] and report["failures"] == []
+    assert peak < 2 ** 22
+
+
 def test_roundtrip_exhaustive_small():
     report = k0h1_roundtrip_report(3, max_entry=1)
     assert report["ok"] and report["count"] == 64
@@ -367,8 +451,11 @@ def test_roundtrip_checks_the_shared_recovery(monkeypatch):
     # a recovery that answers the next member of the shift family must be caught
     import cyclealg.signatures as signatures
     recover = signatures._recover
-    monkeypatch.setattr(signatures, "_recover",
-                        lambda m, flat, h: signatures._shift(recover(m, flat, h), 1))
+
+    def next_member(m, sums, hs=None):
+        cols = recover(m, sums, hs)
+        return [[x - 1 if j % 2 else x + 1 for x in col] for j, col in enumerate(cols)]
+    monkeypatch.setattr(signatures, "_recover", next_member)
     report = k0h1_roundtrip_report(3, max_entry=1)
     assert not report["ok"] and report["count"] == 64 and len(report["failures"]) == 64
     assert report["failures"][0] == {"signature": [0] * 6, "got": [1, -1] * 3}
@@ -395,7 +482,8 @@ def test_roundtrip_reads_a_numpy_integer_max_entry():
 def test_roundtrip_bound(monkeypatch, m, max_entry, refused):
     # the bound is decided before the enumeration starts, which is stubbed out here
     import cyclealg.signatures as signatures
-    monkeypatch.setattr(signatures, "itertools", SimpleNamespace(product=lambda *a, **k: ()))
+    monkeypatch.setattr(signatures, "itertools",
+                        SimpleNamespace(product=lambda *a, **k: (), islice=itertools.islice))
     if refused:
         with pytest.raises(EnumerationBoundError, match="more than the bound 2"):
             k0h1_roundtrip_report(m, max_entry)
