@@ -16,6 +16,10 @@ structured record), diagnostics to stderr.  ``--json`` prints exactly
 prints ``error (FIELD): reason``, FIELD being the spec path or the flag at
 fault.  Output is byte-identical for identical inputs, flags and seed.
 
+``matrix_model``, and with it numpy, loads only when a ``verify`` target on
+the matrix model runs (``lemma22``, ``lemma31``, ``example23``,
+``composition-oracle``); every other command runs on exact ints alone.
+
 ``main(argv)`` may be called repeatedly in one process.  The argument parser
 is built on the first call and reused; it keeps no state between calls, so
 each call prints and returns what the same argv would in a fresh process.
@@ -24,6 +28,7 @@ each call prints and returns what the same argv would in a fresh process.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import sys
@@ -49,13 +54,6 @@ from .limits import (
     progression,
     unital_scale_numerators,
 )
-from .matrix_model import (
-    MatrixAlgebraModel,
-    composition_oracle_report,
-    entrywise_partial_isometry_report,
-    nonregular_embedding_example,
-    perturbed_entry_report,
-)
 from .signatures import (
     CycleAlgebraShape,
     Signature,
@@ -66,6 +64,30 @@ from .signatures import (
     signature_compose,
     signature_from_k0h1,
 )
+
+
+def _lazy_module(name):
+    """The module ``name``, registered now but executed on its first attribute access.
+
+    It is in ``sys.modules`` from the start, where the benchmark tracer looks
+    it up.  An already imported module is returned as it is, so the process
+    holds one copy of it; otherwise the parent package gets the attribute an
+    import sets.
+    """
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    parent, _, child = name.rpartition(".")
+    setattr(sys.modules[parent], child, module)
+    return module
+
+
+#: The numpy matrix model, loaded by the first ``verify`` target that uses it.
+matrix_model = _lazy_module(f"{__package__}.matrix_model")
 
 #: Version of the report format; homology sets are {lo, hi, step} objects.
 SCHEMA_VERSION = 2
@@ -418,17 +440,17 @@ def _verify_result(args) -> dict:
     if args.target in ("lemma22", "lemma31"):
         # m first: a bad m would otherwise be reported as a bad dims count
         m = check_half_length(args.m, name="m")
-        model = _build("dims", MatrixAlgebraModel, m, _parse_dims(args.dims, m))
+        model = _build("dims", matrix_model.MatrixAlgebraModel, m, _parse_dims(args.dims, m))
     if args.target == "lemma22":
-        return entrywise_partial_isometry_report(model, trials=args.trials,
-                                                 tol=args.tol, seed=args.seed)
+        return matrix_model.entrywise_partial_isometry_report(model, trials=args.trials,
+                                                              tol=args.tol, seed=args.seed)
     if args.target == "lemma31":
-        return perturbed_entry_report(model, delta=args.delta, trials=args.trials,
-                                      epsilon=args.epsilon, seed=args.seed)
+        return matrix_model.perturbed_entry_report(model, delta=args.delta, trials=args.trials,
+                                                   epsilon=args.epsilon, seed=args.seed)
     if args.target == "example23":
-        return nonregular_embedding_example()[1]
+        return matrix_model.nonregular_embedding_example()[1]
     if args.target == "composition-oracle":
-        return composition_oracle_report(args.m)
+        return matrix_model.composition_oracle_report(args.m)
     return k0h1_roundtrip_report(args.m, max_entry=args.max_entry)
 
 

@@ -595,7 +595,7 @@ def composition_oracle_report(m) -> dict:
     check_half_length(m, minimum=3, name="m")
     if m > MAX_ORACLE_HALF_LENGTH:
         raise EnumerationBoundError(
-            f"the composition oracle checks (2m)^2 pairs at O(m^2) each; "
+            f"the composition oracle checks (2m)^2 pairs at O(m log m) each; "
             f"m={m} exceeds the bound {MAX_ORACLE_HALF_LENGTH}", "m")
     unit = basic_model(m)
     autos = enumerate_automorphisms(m)

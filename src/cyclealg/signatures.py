@@ -10,9 +10,10 @@ complete conjugacy invariant.  Two derived invariants are computed here:
 * the homology multiplier r_1 - r_2 + r_3 - .. - r_{2m} (rotations minus
   reflections), i.e. the image of the signature under the sign character.
 
-Everything in this module is exact Python-integer arithmetic.  numpy appears
-only in the enumeration oracle (``permutation_matrix``, ``joint_scale_finite``
-and their helpers), which the tests check the closed forms against.  Values
+Everything in this module is exact Python-integer arithmetic.  numpy is
+imported only inside the enumeration oracle (``permutation_matrix``,
+``joint_scale_finite`` and their helpers), which the tests check the closed
+forms against, so importing this module does not load it.  Values
 are checked once, where they enter (``Signature(m, r)``, the fibre recovery's
 matrix and h); values computed here from checked ints are not checked again.
 """
@@ -23,8 +24,6 @@ import functools
 import itertools
 import operator
 from dataclasses import dataclass
-
-import numpy as np
 
 from .cycle_core import (
     DihedralElement,
@@ -100,6 +99,7 @@ class Signature:
 
 def permutation_matrix(element: DihedralElement) -> np.ndarray:
     """Vertex permutation matrix of an automorphism in the odd-then-even ordering."""
+    import numpy as np
     m = element.m
     mat = np.zeros((2 * m, 2 * m), dtype=np.int64)
     for v in range(1, 2 * m + 1):
@@ -109,6 +109,7 @@ def permutation_matrix(element: DihedralElement) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _perm_stack(m):
+    import numpy as np
     return np.stack([permutation_matrix(theta) for theta in enumerate_automorphisms(m)])
 
 
@@ -324,6 +325,7 @@ class JointScaleElement:
 
 def _compositions_array(total, parts) -> np.ndarray:
     """Stars-and-bars enumeration as an array, rows in lexicographic order."""
+    import numpy as np
     if parts == 1:
         return np.array([[total]], dtype=np.int64)
     dividers = np.fromiter(
@@ -346,6 +348,7 @@ def joint_scale_finite(shape: CycleAlgebraShape, unital_only=False,
     Since all row sums equal the signature total, a unital embedding exists
     only when the shape is uniform.
     """
+    import numpy as np
     check_half_length(shape.m, minimum=3)
     bound = min(shape.vertex_mults)
     if bound > max_total:

@@ -626,13 +626,13 @@ def test_verify_refuses_non_finite_floats(capsys, flag, target, name, value):
 
 
 def test_verify_composition_oracle_refuses_beyond_its_bound(capsys):
-    # the oracle's cost grows like m^4; the bound is named in the refusal
+    # the oracle's cost grows like m^3 log m; the bound is named in the refusal
     bound = MAX_ORACLE_HALF_LENGTH
     assert main(["verify", "composition-oracle", "--m", str(bound + 1)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (f"error (m): the composition oracle checks (2m)^2 pairs at "
-                            f"O(m^2) each; m={bound + 1} exceeds the bound {bound}\n")
+                            f"O(m log m) each; m={bound + 1} exceeds the bound {bound}\n")
     assert main(["verify", "composition-oracle", "--m", str(bound), "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["result"]["pairs"] == (2 * bound) ** 2
 
@@ -807,3 +807,68 @@ def test_import_leaves_the_parser_unbuilt():
                            "import cyclealg.cli as cli; print(cli._parser is None)"],
                           capture_output=True, text=True)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "True\n", "")
+
+
+# -- what a command loads ---------------------------------------------------------
+
+FRESH_MAIN = """
+import contextlib, io, json, sys
+if sys.argv[1] == "preload":
+    import cyclealg.matrix_model
+import cyclealg.cli as cli
+out = io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    codes = [cli.main(argv) for argv in json.loads(sys.argv[2])]
+print(json.dumps({"codes": codes, "stdout": out.getvalue(),
+                  "numpy": "numpy" in sys.modules,
+                  "matrix_model": "cyclealg.matrix_model" in sys.modules}))
+"""
+
+
+def fresh_main(argvs, preload=False):
+    """Runs ``cli.main`` on each argv in a fresh interpreter; its codes, stdout and modules."""
+    proc = subprocess.run([sys.executable, "-c", FRESH_MAIN, "preload" if preload else "-",
+                           json.dumps(argvs)], capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def test_exact_commands_never_load_numpy(tmp_path):
+    exact = [argv for argv in cli_battery(tmp_path)
+             if argv[0] != "verify" or argv[1] == "lemma42-roundtrip"]
+    refusal = ["compare", exact[0][1], exact[1][1]]   # stationary against explicit
+    run = fresh_main(exact + [refusal])
+    assert run["codes"] == [0, 0, 3, 0, 0, 0, 0, 2]
+    assert run["numpy"] is False
+    assert run["matrix_model"] is True
+
+
+def test_matrix_model_targets_load_numpy_and_print_the_same_bytes():
+    argv = ["verify", "lemma22", "--m", "3", "--trials", "5", "--seed", "2", "--json"]
+    lazy = fresh_main([argv])
+    assert lazy["numpy"] is True
+    assert lazy == fresh_main([argv], preload=True)
+    assert lazy["codes"] == [0] and json.loads(lazy["stdout"])["result"]["ok"] is True
+
+
+ONE_MODULE = """
+import sys
+first = None
+if sys.argv[1] == "before":
+    import cyclealg.matrix_model as first
+import cyclealg.cli as cli
+import cyclealg
+import cyclealg.matrix_model as mm
+from cyclealg.matrix_model import MatrixAlgebraModel
+assert cli.matrix_model is mm is sys.modules["cyclealg.matrix_model"]
+assert cyclealg.matrix_model is mm
+assert first is None or first is mm
+assert mm.MatrixAlgebraModel is MatrixAlgebraModel
+"""
+
+
+@pytest.mark.parametrize("order", ["before", "after"])
+def test_cli_binds_the_one_matrix_model_module(order):
+    # a second copy would leave a monkeypatch on the module unseen by the cli
+    proc = subprocess.run([sys.executable, "-c", ONE_MODULE, order],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")

@@ -7,10 +7,12 @@ traced benchmark run.
 """
 
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
-import cyclealg.cli  # noqa: F401  (imports every module the tracer wraps)
+# registers every module the tracer wraps; matrix_model runs on its first use
+import cyclealg.cli  # noqa: F401
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -55,3 +57,21 @@ def test_tracer_wraps_every_traced_name_and_restores_the_originals():
     assert after_names.keys() == before_names.keys()
     changed = [key for key, value in before_names.items() if after_names[key] is not value]
     assert not changed, changed
+
+
+INSTALL_AFTER_CLI_IMPORT = """
+import importlib.util, sys
+import cyclealg.cli
+assert "numpy" not in sys.modules
+spec = importlib.util.spec_from_file_location("perfbench_tracer", sys.argv[1])
+module = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(module)
+module.Tracer().install().uninstall()
+"""
+
+
+def test_tracer_installs_after_only_importing_the_cli():
+    # the benchmark worker imports cyclealg.cli alone, then installs the tracer
+    proc = subprocess.run([sys.executable, "-c", INSTALL_AFTER_CLI_IMPORT, str(TRACER_PATH)],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
