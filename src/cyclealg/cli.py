@@ -32,6 +32,7 @@ import importlib.util
 import json
 import os
 import sys
+import types
 
 from . import __version__
 from .cycle_core import check_half_length
@@ -66,6 +67,21 @@ from .signatures import (
 )
 
 
+class _LazyModule(types.ModuleType):
+    """A module registered before its code runs; its first attribute access runs
+    the code.  A run that raises leaves the module lazy, so every later access
+    runs the code again and raises as a failed import does."""
+
+    def __getattribute__(self, attr):
+        self.__class__ = types.ModuleType
+        try:
+            self.__spec__.loader.exec_module(self)
+        except BaseException:
+            self.__class__ = _LazyModule
+            raise
+        return getattr(self, attr)
+
+
 def _lazy_module(name):
     """The module ``name``, registered now but executed on its first attribute access.
 
@@ -76,11 +92,9 @@ def _lazy_module(name):
     """
     if name in sys.modules:
         return sys.modules[name]
-    spec = importlib.util.find_spec(name)
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = importlib.util.module_from_spec(spec)
+    module = importlib.util.module_from_spec(importlib.util.find_spec(name))
+    module.__class__ = _LazyModule
     sys.modules[name] = module
-    spec.loader.exec_module(module)
     parent, _, child = name.rpartition(".")
     setattr(sys.modules[parent], child, module)
     return module

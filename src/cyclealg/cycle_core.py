@@ -125,12 +125,6 @@ def dihedral_compose(a: DihedralElement, b: DihedralElement) -> DihedralElement:
     return DihedralElement(a.m, shift, a.reflected ^ b.reflected)
 
 
-def dihedral_inverse(e: DihedralElement) -> DihedralElement:
-    if e.reflected:
-        return e
-    return DihedralElement(e.m, (-e.shift) % e.m, False)
-
-
 def parity_order(m):
     """The fixed vertex ordering for invariant matrices: odd ascending, then even."""
     check_half_length(m)

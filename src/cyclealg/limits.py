@@ -110,15 +110,10 @@ class LocalizedGroup:
         return "Z[1/(" + "*".join(str(p) for p in self.primes) + ")]"
 
 
-def enumerate_S(m, d):
-    """The d + 1 possible homology multipliers {-md, -md + 2m, .., md}."""
-    md = check_half_length(m, minimum=3) * check_integer(d, "level multiplier d", 1, name="d")
-    return list(range(-md, md + 1, 2 * m))
-
-
 @dataclass(frozen=True)
 class StationaryMatroidTower:
-    """A stationary tower determined by (m, d, s) with s in enumerate_S(m, d)."""
+    """A stationary tower determined by (m, d, s), s one of the d + 1 admissible
+    homology multipliers {-md, -md + 2m, .., md}."""
 
     m: int
     d: int
@@ -160,12 +155,6 @@ class StationaryMatroidTower:
         p = (self.d + quot) // 2
         q = self.d - p
         return Signature(self.m, (p, q) * self.m)
-
-    def level_shape(self, level) -> CycleAlgebraShape:
-        """Vertex multiplicities (md)^(level-1) at the 1-based tower level."""
-        if level < 1:
-            raise InvalidIndexError(f"levels are 1-based, got {level}")
-        return CycleAlgebraShape.uniform(self.m, self.level_multiplier ** (level - 1))
 
 
 def k0_limit(tower: StationaryMatroidTower):
@@ -444,12 +433,6 @@ def _check_capacity(shapes, embeddings) -> None:
             raise InvalidTowerError(
                 f"embedding into level {level} needs vertex multiplicities "
                 f"{needed} but the level has {list(tgt)}", level=level)
-
-
-def stationary_prefix(tower: StationaryMatroidTower, levels) -> ExplicitTower:
-    """The explicit truncation of a stationary tower at the given number of levels."""
-    shapes = tuple(tower.level_shape(i) for i in range(1, levels + 1))
-    return ExplicitTower(shapes, (tower.constant_signature(),) * (levels - 1))
 
 
 def progression(values: range) -> dict:

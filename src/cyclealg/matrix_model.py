@@ -60,25 +60,18 @@ OFF_SUPPORT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class MatrixAlgebraModel:
+class MatrixAlgebraModel(CycleAlgebraShape):
     """A 2m-cycle algebra realized in M_N with the staircase support pattern.
 
     Vertex v owns the contiguous block ``starts[v - 1]:starts[v]`` of flat
     indices; ``starts[-1]`` is N.
     """
 
-    m: int
-    vertex_mults: tuple
     starts: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        shape = CycleAlgebraShape(self.m, self.vertex_mults)
-        object.__setattr__(self, "vertex_mults", shape.vertex_mults)
-        object.__setattr__(self, "starts", tuple(accumulate(shape.vertex_mults, initial=0)))
-
-    @property
-    def dimension(self) -> int:
-        return self.starts[-1]
+        super().__post_init__()
+        object.__setattr__(self, "starts", tuple(accumulate(self.vertex_mults, initial=0)))
 
     def block(self, v) -> slice:
         """The flat indices of vertex v (1-based) as a slice."""
@@ -88,7 +81,7 @@ class MatrixAlgebraModel:
         return range(self.starts[v - 1], self.starts[v])
 
     def vertex_of_index(self, i) -> int:
-        if not 0 <= i < self.dimension:
+        if not 0 <= i < self.starts[-1]:
             raise InvalidIndexError(f"flat index {i} out of range")
         return bisect_right(self.starts, i)
 
@@ -356,22 +349,12 @@ def _harness_streams(seed):
 
 @functools.lru_cache(maxsize=None)
 def _unit_tables(m):
-    """The basic algebra's 4m matrix units at half-length m: their flat rows and
-    columns, in ``supported_block_pairs`` order, and for each unit its rivals
-    (the units sharing its row or its column), padded with the unit itself to
-    a common width."""
-    units = [(i - 1, j - 1) for (i, j) in basic_model(m).supported_block_pairs()]
-    by_row, by_col = {}, {}
-    for u, (r, c) in enumerate(units):
-        by_row.setdefault(r, []).append(u)
-        by_col.setdefault(c, []).append(u)
-    rivals = [sorted(set(by_row[r] + by_col[c]) - {u}) for u, (r, c) in enumerate(units)]
-    width = max(map(len, rivals))
-    rivals = np.array([w + [u] * (width - len(w)) for u, w in enumerate(rivals)])
-    rows, cols = (np.array(x) for x in zip(*units))
-    for table in (rows, cols, rivals):
+    """The flat rows and columns of the basic algebra's 4m matrix units at
+    half-length m, in ``supported_block_pairs`` order."""
+    rows, cols = (np.array(x) - 1 for x in zip(*basic_model(m).supported_block_pairs()))
+    for table in (rows, cols):
         table.flags.writeable = False  # shared by every caller through the cache
-    return rows, cols, rivals
+    return rows, cols
 
 
 @functools.lru_cache(maxsize=None)
@@ -395,21 +378,22 @@ def _source_units(m, keys, skips, phases) -> np.ndarray:
     with distinct rows and columns and unimodular coefficients is a partial
     isometry with its projections in the algebra.
 
-    The greedy pass runs in rounds over all units of the chunk at once: a
-    unit is decided as soon as a rival before it is taken, or every rival
-    before it that could be taken is decided.
+    The greedy walks the 4m key places once, each place for every trial of
+    the chunk at once, against the trials' row and column occupancy.
     """
-    rivals = _unit_tables(m)[2]
-    rank = keys.argsort(axis=1).argsort(axis=1)  # each unit's place in its trial's order
-    open_ = (skips >= 0.25) | (rank == 0)
-    # rivals before the unit that could be taken (the padding, the unit itself, is not before)
-    earlier = (rank[:, rivals] < rank[:, :, None]) & open_[:, rivals]
-    taken = np.zeros_like(open_)
-    while open_.any():
-        blocked = (earlier & taken[:, rivals]).any(axis=2)
-        ready = open_ & (blocked | ~(earlier & open_[:, rivals]).any(axis=2))
-        taken |= ready & ~blocked
-        open_ &= ~ready
+    rows, cols = _unit_tables(m)
+    order = keys.argsort(axis=1)  # the units of each trial in key order
+    take = np.take_along_axis(skips, order, axis=1).T >= 0.25  # (4m, c), by place
+    take[0] = True
+    # occupancy (c, 2m), flat: trial t's row or column r is entry 2m t + r
+    offsets = 2 * m * np.arange(len(keys))
+    row_used, col_used = np.zeros((2, 2 * m * len(keys)), dtype=bool)
+    for place, r, c in zip(take, rows[order].T + offsets, cols[order].T + offsets):
+        place &= ~(row_used[r] | col_used[c])
+        row_used[r[place]] = True
+        col_used[c[place]] = True
+    taken = np.empty_like(order, dtype=bool)
+    np.put_along_axis(taken, order, take.T, axis=1)
     return np.where(taken, np.exp(2j * math.pi * phases), 0)
 
 
@@ -468,7 +452,7 @@ def _model_trials(model: MatrixAlgebraModel, streams, count):
     uniforms, normals, _ = streams
     m, n, bound = model.m, model.dimension, min(model.vertex_mults)
     classes, coefficients = _draw_sources(m, bound, uniforms.random((count, 1 + bound + 12 * m)))
-    unit_rows, unit_cols, _ = _unit_tables(m)
+    unit_rows, unit_cols = _unit_tables(m)
     starts = np.array(model.starts[:-1])
     images = _class_images(m)
     a = np.zeros((count, n, n), dtype=complex)

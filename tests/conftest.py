@@ -16,8 +16,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from cyclealg.cycle_core import enumerate_automorphisms, parity_position
-from cyclealg.limits import ScaleMembership, is_extreme
+from cyclealg.cycle_core import DihedralElement, enumerate_automorphisms, parity_position
+from cyclealg.limits import ExplicitTower, ScaleMembership, is_extreme
 from cyclealg.signatures import (
     CycleAlgebraShape,
     JointScaleElement,
@@ -173,6 +173,25 @@ def full_enum_feasible(m, total):
 def compose_images(images_a, images_b):
     """Permutation composition on raw image tuples: apply b first, then a."""
     return tuple(images_a[images_b[v] - 1] for v in range(len(images_b)))
+
+
+def dihedral_inverse(e):
+    """The inverse of a dihedral element; a reflection is its own."""
+    return e if e.reflected else DihedralElement(e.m, (-e.shift) % e.m, False)
+
+
+def enumerate_S(m, d):
+    """The d + 1 admissible homology multipliers s of a stationary tower (m, d, s):
+    {-md, -md + 2m, .., md}."""
+    return list(range(-m * d, m * d + 1, 2 * m))
+
+
+def stationary_prefix(tower, levels):
+    """The explicit truncation of a stationary tower at the given number of levels;
+    level i has every vertex multiplicity (md)^(i - 1)."""
+    shapes = tuple(CycleAlgebraShape.uniform(tower.m, tower.level_multiplier ** i)
+                   for i in range(levels))
+    return ExplicitTower(shapes, (tower.constant_signature(),) * (levels - 1))
 
 
 @lru_cache(maxsize=None)

@@ -12,6 +12,7 @@ from conftest import (
     FULL_ENUM_LIMIT,
     brute_scale_contains,
     cli_battery,
+    enumerate_S,
     signatures_with_entries_at_most,
     unital_h1_contains_split,
     unital_h1_set_full,
@@ -21,7 +22,6 @@ from cyclealg.limits import (
     LimitScaleQuery,
     StationaryMatroidTower,
     decide_isomorphism,
-    enumerate_S,
     h1_limit,
     unital_joint_scale_contains,
 )

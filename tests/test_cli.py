@@ -10,13 +10,18 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from conftest import cli_battery, loop_scale_contains, signatures_with_entries_at_most
+from conftest import (
+    cli_battery,
+    loop_scale_contains,
+    signatures_with_entries_at_most,
+    stationary_prefix,
+)
 
 import cyclealg.cli as cli
 import cyclealg.limits as limits
 from cyclealg.cli import MAX_HALF_LENGTH, main, parse_tower_spec
 from cyclealg.errors import SpecValidationError
-from cyclealg.limits import LimitScaleQuery, StationaryMatroidTower, stationary_prefix
+from cyclealg.limits import LimitScaleQuery, StationaryMatroidTower
 from cyclealg.matrix_model import MAX_HARNESS_ENTRIES, MAX_ORACLE_HALF_LENGTH
 from cyclealg.signatures import h1, k0_is_rigid_type, k0_matrix
 
@@ -872,3 +877,28 @@ def test_cli_binds_the_one_matrix_model_module(order):
     proc = subprocess.run([sys.executable, "-c", ONE_MODULE, order],
                           capture_output=True, text=True)
     assert (proc.returncode, proc.stderr) == (0, "")
+
+
+FAILED_LOAD = """
+import contextlib, io, sys
+sys.modules["numpy"] = None   # every import of numpy fails
+import cyclealg.cli as cli
+module = cli.matrix_model
+for _ in range(2):
+    try:
+        cli.main(["verify", "example23"])
+    except ModuleNotFoundError as exc:
+        print(type(exc).__name__, exc)
+del sys.modules["numpy"]
+import cyclealg.matrix_model
+assert cli.matrix_model is module is sys.modules["cyclealg.matrix_model"] is cyclealg.matrix_model
+with contextlib.redirect_stdout(io.StringIO()):
+    print(cli.main(["verify", "example23"]), file=sys.stderr)
+"""
+
+
+def test_a_failed_matrix_model_load_fails_again_on_every_call():
+    # as a failed import is retried, while the process keeps its one module object
+    proc = subprocess.run([sys.executable, "-c", FAILED_LOAD], capture_output=True, text=True)
+    error = "ModuleNotFoundError import of numpy halted; None in sys.modules\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, error * 2, "0\n")

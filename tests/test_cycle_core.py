@@ -2,14 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
-from conftest import compose_images
+from conftest import compose_images, dihedral_inverse
 
 from cyclealg.cycle_core import (
     DihedralElement,
     check_half_length,
     check_integer,
     dihedral_compose,
-    dihedral_inverse,
     enumerate_automorphisms,
     parity_order,
     parity_position,

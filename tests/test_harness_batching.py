@@ -2,11 +2,12 @@
 
 The reference below takes one trial at a time from the three seeded streams,
 decodes its blocks in plain Python (the signature, then the source partial
-isometry by a sequential greedy pass), realizes its embedding as a dict of
-matrix-unit pieces, applies it, conjugates densely and measures every
+isometry by a sequential greedy pass), realizes its embedding with
+``realize_rigid``, applies it, conjugates densely and measures every
 supported block with its own SVD.  The stacked harness, which draws and
 places a chunk of trials at once, must agree with it exactly (``==``, not
-approximately) on every trial.
+approximately) on every trial.  The product runs the reference's greedy
+itself, one key place at a time across the trials of a chunk.
 """
 
 import math
@@ -25,6 +26,7 @@ from cyclealg.matrix_model import (
     _harness_streams,
     _harness_trials,
     _locally_regular,
+    _source_units,
     basic_model,
     distance_to_partial_isometry,
     entrywise_partial_isometry_report,
@@ -177,6 +179,29 @@ def test_drawn_sources_and_signatures_cover_the_draw(m):
     assert set(classes[classes < two_m].tolist()) == set(range(two_m))
     # summands are in label order, and the sentinel only follows them
     assert (np.diff(classes, axis=1) >= 0).all()
+
+
+@pytest.mark.parametrize("count", [1, 200])
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+@pytest.mark.parametrize("draw", ["all-skipped", "none-skipped", "random"])
+def test_source_units_run_the_reference_greedy(m, count, draw):
+    rng = np.random.default_rng(100 * m + count)
+    keys, phases = rng.random((2, count, 4 * m))
+    skips = {"all-skipped": rng.uniform(0, 0.25, (count, 4 * m)),
+             "none-skipped": rng.uniform(0.25, 1, (count, 4 * m)),
+             "random": rng.random((count, 4 * m))}[draw]
+    units = [(i - 1, j - 1) for (i, j) in basic_model(m).supported_block_pairs()]
+    coefficients = _source_units(m, keys, skips, phases)
+    for t in range(count):
+        source = np.zeros((2 * m, 2 * m), dtype=complex)
+        source[tuple(zip(*units))] = coefficients[t]
+        assert np.array_equal(source, _reference_source(m, keys[t], skips[t], phases[t]))
+        taken = coefficients[t] != 0
+        if draw == "all-skipped":
+            assert taken.tolist() == (keys[t] == keys[t].min()).tolist()
+        elif draw == "none-skipped":
+            rows, cols = (source != 0).any(axis=1), (source != 0).any(axis=0)
+            assert all(rows[r] or cols[c] for r, c in units), "the matching is not maximal"
 
 
 def test_lemma31_measures_the_trials_of_lemma22(monkeypatch):

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import (
     brute_scale_contains,
+    enumerate_S,
     loop_scale_contains,
+    stationary_prefix,
     unital_h1_contains_split,
     unital_h1_set_full,
 )
@@ -26,7 +28,6 @@ from cyclealg.limits import (
     StationaryMatroidTower,
     SupernaturalNumber,
     decide_isomorphism,
-    enumerate_S,
     finite_level_invariants,
     h1_limit,
     is_extreme,
@@ -34,7 +35,6 @@ from cyclealg.limits import (
     k0_limit,
     prime_factors,
     progression,
-    stationary_prefix,
     unital_joint_scale_contains,
     unital_scale_numerators,
 )
@@ -92,6 +92,14 @@ def test_enumerate_S():
             values = enumerate_S(m, d)
             assert len(values) == d + 1
             assert all((s - m * d) % (2 * m) == 0 for s in values)
+            # the test-side list is exactly what the tower's O(1) check admits
+            admitted = []
+            for s in range(-m * d - 2 * m, m * d + 2 * m + 1):
+                try:
+                    admitted.append(StationaryMatroidTower(m, d, s).s)
+                except InvalidIndexError:
+                    pass
+            assert admitted == values
 
 
 @pytest.mark.parametrize("d,s,name", [
