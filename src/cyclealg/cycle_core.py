@@ -20,7 +20,6 @@ Vertices are kept 1-based with representatives in {1, .., 2m}.  Composition
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 
 from .errors import IncompatibleError, InvalidIndexError
 
@@ -50,8 +49,45 @@ def check_half_length(m, minimum=2, name=None) -> int:
     return check_integer(m, "cycle half-length", minimum, name)
 
 
-@dataclass(frozen=True, order=True)
-class DihedralElement:
+class Value:
+    """An immutable value whose fields are the names in ``_fields``, in order.
+
+    ``__init__`` stores the fields with ``self.__dict__.update``; any other entry
+    of ``__dict__`` (a derived attribute, a cached property) is not a field.
+    Instances are equal only to instances of the same class with equal fields,
+    hash as the tuple of their fields, print as ``Name(field=value, ..)`` and
+    refuse assignment and deletion.
+    """
+
+    _fields = ()
+
+    def __init_subclass__(cls):
+        # itemgetter of one name returns the bare value, and the key is a tuple
+        fields = cls._fields
+        cls._key = staticmethod(operator.itemgetter(*fields) if len(fields) > 1
+                                else lambda d, name=fields[0]: (d[name],))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self.__dict__) == other._key(other.__dict__)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self.__dict__))
+
+    def __repr__(self):
+        d = self.__dict__
+        items = ", ".join(f"{name}={d[name]!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({items})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class DihedralElement(Value):
     """Automorphism of the 2m-cycle digraph, normalized to (shift, reflected).
 
     ``shift`` counts powers of the basic shift theta_3 (0 <= shift < m);
@@ -59,14 +95,13 @@ class DihedralElement:
     canonical 1-based label is derived, never stored.
     """
 
-    m: int
-    shift: int
-    reflected: bool
+    _fields = ("m", "shift", "reflected")
 
-    def __post_init__(self):
-        check_half_length(self.m)
-        if not 0 <= self.shift < self.m:
-            raise InvalidIndexError(f"shift must lie in 0..{self.m - 1}, got {self.shift}")
+    def __init__(self, m, shift, reflected):
+        check_half_length(m)
+        if not 0 <= shift < m:
+            raise InvalidIndexError(f"shift must lie in 0..{m - 1}, got {shift}")
+        self.__dict__.update(m=m, shift=shift, reflected=reflected)
 
     @property
     def index(self) -> int:

@@ -25,9 +25,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
-from .cycle_core import check_half_length, check_integer
+from .cycle_core import Value, check_half_length, check_integer
 from .errors import (
     CrossCycleLengthError,
     EnumerationBoundError,
@@ -73,15 +72,17 @@ def prime_factors(n) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class SupernaturalNumber:
+class SupernaturalNumber(Value):
     """The generalised integer n^inf, given by the sorted primes of n.
 
     Every K0 datum here is such an infinite power, so each prime carries the
     exponent infinity and only the prime set is stored.
     """
 
-    primes: tuple
+    _fields = ("primes",)
+
+    def __init__(self, primes):
+        self.__dict__.update(primes=primes)
 
     def __str__(self):
         return " * ".join(f"{p}^inf" for p in self.primes)
@@ -90,15 +91,17 @@ class SupernaturalNumber:
         return {str(p): "inf" for p in self.primes}
 
 
-@dataclass(frozen=True)
-class LocalizedGroup:
+class LocalizedGroup(Value):
     """The limit homology group: Z localized at the sorted ``primes``, or 0 without primes.
 
     The group is 0 exactly for s = 0; a nonzero s has |s| >= m >= 3, so its
     prime set is never empty.
     """
 
-    primes: tuple
+    _fields = ("primes",)
+
+    def __init__(self, primes):
+        self.__dict__.update(primes=primes)
 
     @property
     def kind(self) -> str:
@@ -110,29 +113,24 @@ class LocalizedGroup:
         return "Z[1/(" + "*".join(str(p) for p in self.primes) + ")]"
 
 
-@dataclass(frozen=True)
-class StationaryMatroidTower:
+class StationaryMatroidTower(Value):
     """A stationary tower determined by (m, d, s), s one of the d + 1 admissible
     homology multipliers {-md, -md + 2m, .., md}."""
 
-    m: int
-    d: int
-    s: int
+    _fields = ("m", "d", "s")
 
-    def __post_init__(self):
+    def __init__(self, m, d, s):
         # s is admissible iff |s| <= md and s = md mod 2m: O(1), the d + 1
         # admissible values are never built.
-        m = check_half_length(self.m, minimum=3)
-        d = check_integer(self.d, "level multiplier d", 1, name="d")
-        s = check_integer(self.s, "s", name="s")
+        m = check_half_length(m, minimum=3)
+        d = check_integer(d, "level multiplier d", 1, name="d")
+        s = check_integer(s, "s", name="s")
         md = m * d
         if abs(s) > md or (s + md) % (2 * m):
             raise InvalidIndexError(
                 f"s={s} is not in the admissible set {{-{md} + {2 * m}j : j = 0, .., {d}}}",
                 "s")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "s", s)
+        self.__dict__.update(m=m, d=d, s=s)
 
     @property
     def level_multiplier(self) -> int:
@@ -190,25 +188,24 @@ def is_homologically_limited(tower: StationaryMatroidTower) -> bool:
     return tower.s != 0 and not is_extreme(tower)
 
 
-@dataclass(frozen=True)
-class LimitScaleQuery:
+class LimitScaleQuery(Value):
     """The candidate unital joint-scale element 1/m (+) 1/m (+) k/(md)^t."""
 
-    k: int
-    t: int
+    _fields = ("k", "t")
 
-    def __post_init__(self):
-        object.__setattr__(self, "k", check_integer(self.k, "numerator k"))
-        object.__setattr__(self, "t", check_integer(self.t, "exponent t", 1))
+    def __init__(self, k, t):
+        k = check_integer(k, "numerator k")
+        t = check_integer(t, "exponent t", 1)
+        self.__dict__.update(k=k, t=t)
 
 
-@dataclass(frozen=True)
-class ScaleMembership:
+class ScaleMembership(Value):
     """Decision with certificate: level exponent and realizing homology value."""
 
-    contained: bool
-    certificate: tuple = None
-    reason: str = ""
+    _fields = ("contained", "certificate", "reason")
+
+    def __init__(self, contained, certificate=None, reason=""):
+        self.__dict__.update(contained=contained, certificate=certificate, reason=reason)
 
     def __bool__(self):
         return self.contained
@@ -307,8 +304,7 @@ def unital_scale_numerators(tower: StationaryMatroidTower) -> range:
     return range(-md, md + 1, c * (1 + md % 2))
 
 
-@dataclass(frozen=True)
-class IsomorphismVerdict:
+class IsomorphismVerdict(Value):
     """Outcome of the star-extendible isomorphism decision.
 
     A negative verdict always names the distinguishing invariant in
@@ -316,17 +312,16 @@ class IsomorphismVerdict:
     ``detail``.
     """
 
-    isomorphic: bool
-    witness: str = None
-    detail: str = ""
+    _fields = ("isomorphic", "witness", "detail")
+
+    def __init__(self, isomorphic, witness=None, detail=""):
+        if not isomorphic and not witness:
+            raise InvalidIndexError("a negative verdict must carry a witness")
+        self.__dict__.update(isomorphic=isomorphic, witness=witness, detail=detail)
 
     @property
     def verdict(self) -> str:
         return "isomorphic" if self.isomorphic else "not_isomorphic"
-
-    def __post_init__(self):
-        if not self.isomorphic and not self.witness:
-            raise InvalidIndexError("a negative verdict must carry a witness")
 
 
 def decide_isomorphism(t1: StationaryMatroidTower,
@@ -379,8 +374,7 @@ def decide_isomorphism(t1: StationaryMatroidTower,
 # Finite-level invariants of explicit towers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExplicitTower:
+class ExplicitTower(Value):
     """A finite tower prefix: shapes plus one linking signature per step.
 
     Construction checks capacity, so every instance is realizable: the
@@ -388,12 +382,11 @@ class ExplicitTower:
     Refusals raise ``InvalidTowerError`` naming the first offending level.
     """
 
-    shapes: tuple
-    embeddings: tuple
+    _fields = ("shapes", "embeddings")
 
-    def __post_init__(self):
-        shapes = tuple(self.shapes)
-        embeddings = tuple(self.embeddings)
+    def __init__(self, shapes, embeddings):
+        shapes = tuple(shapes)
+        embeddings = tuple(embeddings)
         if not shapes:
             raise InvalidTowerError("a tower needs at least one level", level=1)
         if len(embeddings) != len(shapes) - 1:
@@ -415,8 +408,7 @@ class ExplicitTower:
                 raise InvalidTowerError(
                     f"the linking signature into level {level} must be nonzero", level=level)
         _check_capacity(shapes, embeddings)
-        object.__setattr__(self, "shapes", shapes)
-        object.__setattr__(self, "embeddings", embeddings)
+        self.__dict__.update(shapes=shapes, embeddings=embeddings)
 
     @property
     def m(self) -> int:

@@ -20,13 +20,13 @@ from __future__ import annotations
 import functools
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from itertools import accumulate, product
 
 import numpy as np
 
 from .cycle_core import (
     DihedralElement,
+    Value,
     check_half_length,
     check_integer,
     enumerate_automorphisms,
@@ -59,19 +59,16 @@ MAX_HARNESS_ENTRIES = 1 << 22
 OFF_SUPPORT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
 class MatrixAlgebraModel(CycleAlgebraShape):
     """A 2m-cycle algebra realized in M_N with the staircase support pattern.
 
     Vertex v owns the contiguous block ``starts[v - 1]:starts[v]`` of flat
-    indices; ``starts[-1]`` is N.
+    indices; ``starts[-1]`` is N.  ``starts`` is derived, not a field.
     """
 
-    starts: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        super().__post_init__()
-        object.__setattr__(self, "starts", tuple(accumulate(self.vertex_mults, initial=0)))
+    def __init__(self, m, vertex_mults):
+        super().__init__(m, vertex_mults)
+        self.__dict__["starts"] = tuple(accumulate(self.vertex_mults, initial=0))
 
     def block(self, v) -> slice:
         """The flat indices of vertex v (1-based) as a slice."""
@@ -212,8 +209,7 @@ def _class_labels(m):
     return {theta.images(): theta.index for theta in enumerate_automorphisms(m)}
 
 
-@dataclass(frozen=True)
-class ConcreteEmbedding:
+class ConcreteEmbedding(Value):
     """A rigid embedding in standard form: a direct sum of multiplicity-one summands.
 
     ``slot_maps`` holds one tuple per summand, whose entry i is the target
@@ -223,16 +219,15 @@ class ConcreteEmbedding:
     is used twice.  Each summand is rigid: the first slots of the source
     vertices land on the vertex images of an automorphism theta, whose label
     ``classes`` records, and every slot of vertex v lands in theta(v)'s block.
+    The fields are ``source``, ``target`` and ``slot_maps``; ``classes`` is
+    derived.  The repr shows ``source`` and ``target`` only.
     """
 
-    source: MatrixAlgebraModel
-    target: MatrixAlgebraModel
-    slot_maps: tuple = field(repr=False)
-    classes: tuple = field(init=False, repr=False, compare=False)
+    _fields = ("source", "target", "slot_maps")
 
-    def __post_init__(self):
-        n, size = self.source.dimension, self.target.dimension
-        maps = tuple(tuple(check_integer(t, "target index") for t in s) for s in self.slot_maps)
+    def __init__(self, source, target, slot_maps):
+        n, size = source.dimension, target.dimension
+        maps = tuple(tuple(check_integer(t, "target index") for t in s) for s in slot_maps)
         if not maps:
             raise UnsupportedInputError("an embedding needs at least one summand")
         if any(len(s) != n for s in maps):
@@ -242,10 +237,10 @@ class ConcreteEmbedding:
             raise InvalidIndexError(f"target indices must lie in 0..{size - 1}")
         if len(set(flat)) != len(flat):
             raise InvalidIndexError("a target index is used twice")
-        if self.source.m != self.target.m:
+        if source.m != target.m:
             raise IncompatibleError("source and target must share the cycle length")
-        vertex, labels = self.target.vertex_of_index, _class_labels(self.source.m)
-        corners, mults = self.source.starts[:-1], self.source.vertex_mults
+        vertex, labels = target.vertex_of_index, _class_labels(source.m)
+        corners, mults = source.starts[:-1], source.vertex_mults
         classes = []
         for number, s in enumerate(maps, start=1):
             hit = [vertex(t) for t in s]
@@ -256,8 +251,11 @@ class ConcreteEmbedding:
                     f"summand {number} sends the source slots to target vertices {hit}, "
                     "which no automorphism of the cycle does")
             classes.append(label)
-        object.__setattr__(self, "slot_maps", maps)
-        object.__setattr__(self, "classes", tuple(classes))
+        self.__dict__.update(source=source, target=target, slot_maps=maps,
+                             classes=tuple(classes))
+
+    def __repr__(self):
+        return f"ConcreteEmbedding(source={self.source!r}, target={self.target!r})"
 
     def apply(self, x) -> np.ndarray:
         """Image of a source-algebra element (off-support entries at most ``OFF_SUPPORT_TOL``)."""

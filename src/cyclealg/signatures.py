@@ -23,10 +23,10 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
 
 from .cycle_core import (
     DihedralElement,
+    Value,
     check_half_length,
     check_integer,
     dihedral_compose,
@@ -52,23 +52,21 @@ MAX_FIBRE_MEMBERS = 1 << 16
 _RECOVERY_CHUNK = 1 << 8
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(Value):
     """Multiplicities (r_1, .., r_{2m}) indexed by the canonical automorphism labels.
 
     The zero signature is allowed as the additive identity of signature
     arithmetic; embedding-facing operations reject it.
     """
 
-    m: int
-    r: tuple
+    _fields = ("m", "r")
 
-    def __post_init__(self):
-        object.__setattr__(self, "m", check_half_length(self.m, minimum=3))
-        r = tuple(check_integer(x, "signature entry", 0) for x in self.r)
-        if len(r) != 2 * self.m:
-            raise InvalidIndexError(f"signature needs {2 * self.m} entries, got {len(r)}")
-        object.__setattr__(self, "r", r)
+    def __init__(self, m, r):
+        m = check_half_length(m, minimum=3)
+        r = tuple(check_integer(x, "signature entry", 0) for x in r)
+        if len(r) != 2 * m:
+            raise InvalidIndexError(f"signature needs {2 * m} entries, got {len(r)}")
+        self.__dict__.update(m=m, r=r)
 
     @property
     def is_zero(self) -> bool:
@@ -286,19 +284,17 @@ def homology_range(sig: Signature) -> range:
     return range(base - step * min(sig.r[0::2]), base + step * min(sig.r[1::2]) + 1, step)
 
 
-@dataclass(frozen=True)
-class CycleAlgebraShape:
+class CycleAlgebraShape(Value):
     """A 2m-cycle algebra given by its vertex multiplicities (vertex order 1..2m)."""
 
-    m: int
-    vertex_mults: tuple
+    _fields = ("m", "vertex_mults")
 
-    def __post_init__(self):
-        object.__setattr__(self, "m", check_half_length(self.m))
-        mults = tuple(check_integer(x, "vertex multiplicity", 1) for x in self.vertex_mults)
-        if len(mults) != 2 * self.m:
-            raise InvalidIndexError(f"shape needs {2 * self.m} multiplicities, got {len(mults)}")
-        object.__setattr__(self, "vertex_mults", mults)
+    def __init__(self, m, vertex_mults):
+        m = check_half_length(m)
+        mults = tuple(check_integer(x, "vertex multiplicity", 1) for x in vertex_mults)
+        if len(mults) != 2 * m:
+            raise InvalidIndexError(f"shape needs {2 * m} multiplicities, got {len(mults)}")
+        self.__dict__.update(m=m, vertex_mults=mults)
 
     @classmethod
     def uniform(cls, m, mult) -> "CycleAlgebraShape":
@@ -312,15 +308,16 @@ class CycleAlgebraShape:
         return tuple(self.vertex_mults[v - 1] for v in parity_order(self.m))
 
 
-@dataclass(frozen=True)
-class JointScaleElement:
+class JointScaleElement(Value):
     """One element (class of the image of e11 + e22, homology value) of a joint scale.
 
     ``k0_part`` is indexed by vertex classes in the odd-then-even ordering.
     """
 
-    k0_part: tuple
-    h_part: int
+    _fields = ("k0_part", "h_part")
+
+    def __init__(self, k0_part, h_part):
+        self.__dict__.update(k0_part=k0_part, h_part=h_part)
 
 
 def _compositions_array(total, parts) -> np.ndarray:

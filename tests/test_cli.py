@@ -826,12 +826,14 @@ with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
     codes = [cli.main(argv) for argv in json.loads(sys.argv[2])]
 print(json.dumps({"codes": codes, "stdout": out.getvalue(),
                   "numpy": "numpy" in sys.modules,
-                  "matrix_model": "cyclealg.matrix_model" in sys.modules}))
+                  "matrix_model": "cyclealg.matrix_model" in sys.modules,
+                  "dataclasses": "dataclasses" in sys.modules}))
 """
 
 
 def fresh_main(argvs, preload=False):
-    """Runs ``cli.main`` on each argv in a fresh interpreter; its codes, stdout and modules."""
+    """Runs ``cli.main`` on each argv in a fresh interpreter; its codes, stdout and
+    whether numpy, the matrix model and dataclasses were loaded."""
     proc = subprocess.run([sys.executable, "-c", FRESH_MAIN, "preload" if preload else "-",
                            json.dumps(argvs)], capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
@@ -845,12 +847,14 @@ def test_exact_commands_never_load_numpy(tmp_path):
     assert run["codes"] == [0, 0, 3, 0, 0, 0, 0, 2]
     assert run["numpy"] is False
     assert run["matrix_model"] is True
+    assert run["dataclasses"] is False
 
 
 def test_matrix_model_targets_load_numpy_and_print_the_same_bytes():
     argv = ["verify", "lemma22", "--m", "3", "--trials", "5", "--seed", "2", "--json"]
     lazy = fresh_main([argv])
     assert lazy["numpy"] is True
+    assert lazy["dataclasses"] is False
     assert lazy == fresh_main([argv], preload=True)
     assert lazy["codes"] == [0] and json.loads(lazy["stdout"])["result"]["ok"] is True
 

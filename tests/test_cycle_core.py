@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -14,6 +16,22 @@ from cyclealg.cycle_core import (
     parity_position,
 )
 from cyclealg.errors import IncompatibleError, InvalidIndexError
+from cyclealg.limits import (
+    ExplicitTower,
+    IsomorphismVerdict,
+    LimitScaleQuery,
+    LocalizedGroup,
+    ScaleMembership,
+    StationaryMatroidTower,
+    SupernaturalNumber,
+)
+from cyclealg.matrix_model import (
+    ConcreteEmbedding,
+    MatrixAlgebraModel,
+    basic_model,
+    realize_rigid,
+)
+from cyclealg.signatures import CycleAlgebraShape, JointScaleElement, Signature
 
 
 @pytest.mark.parametrize("value", [True, False, np.True_, 1.0, 2.9, "3", None, [3]])
@@ -147,3 +165,73 @@ def test_parity_order_and_positions():
         for pos, v in enumerate(order):
             assert parity_position(m, v) == pos
 
+
+
+ONES = "(1, 1, 1, 1, 1, 1)"
+MODEL = f"MatrixAlgebraModel(m=3, vertex_mults={ONES})"
+#: (instance factory, field names, repr) for every value type of the package
+VALUE_CASES = [
+    (lambda: DihedralElement(3, 1, True), ("m", "shift", "reflected"),
+     "DihedralElement(m=3, shift=1, reflected=True)"),
+    (lambda: Signature(3, (1, 0, 2, 0, 0, 0)), ("m", "r"), "Signature(m=3, r=(1, 0, 2, 0, 0, 0))"),
+    (lambda: CycleAlgebraShape(3, (1,) * 6), ("m", "vertex_mults"),
+     f"CycleAlgebraShape(m=3, vertex_mults={ONES})"),
+    (lambda: JointScaleElement((1, 1, 0, 0, 0, 0), -1), ("k0_part", "h_part"),
+     "JointScaleElement(k0_part=(1, 1, 0, 0, 0, 0), h_part=-1)"),
+    (lambda: SupernaturalNumber((2, 3)), ("primes",), "SupernaturalNumber(primes=(2, 3))"),
+    (lambda: LocalizedGroup(()), ("primes",), "LocalizedGroup(primes=())"),
+    (lambda: StationaryMatroidTower(3, 4, 6), ("m", "d", "s"),
+     "StationaryMatroidTower(m=3, d=4, s=6)"),
+    (lambda: LimitScaleQuery(5, 2), ("k", "t"), "LimitScaleQuery(k=5, t=2)"),
+    (lambda: ScaleMembership(True), ("contained", "certificate", "reason"),
+     "ScaleMembership(contained=True, certificate=None, reason='')"),
+    (lambda: IsomorphismVerdict(False, "h1_group"), ("isomorphic", "witness", "detail"),
+     "IsomorphismVerdict(isomorphic=False, witness='h1_group', detail='')"),
+    (lambda: ExplicitTower([CycleAlgebraShape(3, (1,) * 6), CycleAlgebraShape(3, (2,) * 6)],
+                           [Signature(3, (1, 1, 0, 0, 0, 0))]),
+     ("shapes", "embeddings"),
+     f"ExplicitTower(shapes=(CycleAlgebraShape(m=3, vertex_mults={ONES}), "
+     "CycleAlgebraShape(m=3, vertex_mults=(2, 2, 2, 2, 2, 2))), "
+     "embeddings=(Signature(m=3, r=(1, 1, 0, 0, 0, 0)),))"),
+    (lambda: MatrixAlgebraModel(3, (1,) * 6), ("m", "vertex_mults"), MODEL),
+    (lambda: ConcreteEmbedding(basic_model(3), basic_model(3), [range(6)]),
+     ("source", "target", "slot_maps"), f"ConcreteEmbedding(source={MODEL}, target={MODEL})"),
+]
+
+
+@pytest.mark.parametrize("make, fields, text", VALUE_CASES,
+                         ids=[text.split("(")[0] for _, _, text in VALUE_CASES])
+def test_value_types_compare_hash_print_and_refuse_assignment(make, fields, text):
+    x = make()
+    key = tuple(getattr(x, name) for name in fields)
+    assert x == make() and not x != make() and x is not make()
+    assert hash(x) == hash(key) == hash(make())
+    assert type(x)(**dict(zip(fields, key))) == x
+    assert repr(x) == text
+    for name in fields + ("other",):
+        with pytest.raises(AttributeError):
+            setattr(x, name, None)
+    for name in fields:
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+    assert tuple(getattr(x, name) for name in fields) == key
+    for twin in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert type(twin) is type(x) and twin == x and hash(twin) == hash(x)
+    assert x != key and x != object()
+
+
+def test_value_types_keep_their_defaults_and_class_identity():
+    assert ScaleMembership(True) == ScaleMembership(contained=True, certificate=None, reason="")
+    assert IsomorphismVerdict(True) == IsomorphismVerdict(isomorphic=True, witness=None,
+                                                         detail="")
+    with pytest.raises(InvalidIndexError, match="a negative verdict must carry a witness"):
+        IsomorphismVerdict(False)
+    # a model is not its shape, and its derived ``starts`` takes no part in comparing
+    model, shape = MatrixAlgebraModel(3, (1,) * 6), CycleAlgebraShape(3, (1,) * 6)
+    assert model != shape and shape != model and len({model, shape}) == 2
+    assert model.starts == (0, 1, 2, 3, 4, 5, 6) and "starts" not in repr(model)
+    # likewise the derived classes of an embedding, which its slot maps decide
+    phi = realize_rigid(Signature(3, (1, 0, 0, 0, 1, 0)), MatrixAlgebraModel(3, (2,) * 6))
+    assert phi.classes == (1, 5) and "classes" not in repr(phi)
+    with pytest.raises(TypeError):
+        DihedralElement(3, 0, False) < DihedralElement(3, 1, False)
